@@ -26,6 +26,10 @@
 #                minimized fault scripts land in <build-dir>/fuzz-failures/.
 #   build-dir    defaults to "build" ("build-asan" under --sanitize)
 #
+# The default lane (neither --sanitize nor --release) also builds the
+# benchmark package (perfbench/) into <build-dir>/perfbench and runs its
+# pierbench_determinism test.
+#
 # Test selection is label-based (see docs/testing.md):
 #   tier1  every correctness suite (the default lane here)
 #   slow   the multi-node end-to-end suites (skip locally with -LE slow)
@@ -77,6 +81,18 @@ echo "== ctest (tier1) =="
 # zero tests and report green.
 (cd "$BUILD_DIR" && env -u PIER_FUZZ_ITERS -u PIER_FUZZ_SEED \
     ctest -L tier1 --no-tests=error --output-on-failure -j "$JOBS")
+
+if [[ $SANITIZE -eq 0 && $RELEASE -eq 0 ]]; then
+  # The benchmark package (perfbench/) links the library and reads its stats
+  # fields, so a refactor under src/ can break it without touching it. Build
+  # it from this tree and run its determinism test.
+  echo "== perfbench (build + determinism test) =="
+  cmake -S perfbench -B "$BUILD_DIR/perfbench" -DPIER_WERROR=ON
+  cmake --build "$BUILD_DIR/perfbench" -j "$JOBS" \
+      --target pierbench pierbench_test
+  (cd "$BUILD_DIR/perfbench" && \
+      ctest -R '^pierbench_determinism$' --no-tests=error --output-on-failure)
+fi
 
 if [[ $FUZZ -eq 1 ]]; then
   # The long randomized-scenario lane. PIER_FUZZ_ITERS is inherited by the

@@ -42,24 +42,20 @@ uint64_t BroadcastService::Broadcast(sim::Payload payload) {
   sim::HostId self = transport_->self();
   AlreadySeen(self, seq);  // mark, so loops back to us are suppressed
   Deliver(self, seq, /*parent=*/self, 0, payload);
-  // Whole ring: limit == own id (the interval (self, self) wraps all the
-  // way around).
-  if (!options_.reliable) {
-    Relay(nullptr, self, seq, router_->self().id, 0, payload);
-    return seq;
-  }
   RelayState& state = relays_[{self, seq}];
   state.parent = self;
   state.is_origin = true;
   state.payload = payload;
   state.expires = transport_->simulation()->now() + kSeenTtl;
-  Relay(&state, self, seq, router_->self().id, 0, payload);
+  // Whole ring: limit == own id (the interval (self, self) wraps all the
+  // way around).
+  Relay(state, self, seq, router_->self().id, 0, payload);
   ArmCoverDeadline(self, seq);
   MaybeFinishCover(self, seq, &state);  // leaf origin: fire immediately
   return seq;
 }
 
-void BroadcastService::Relay(RelayState* state, sim::HostId origin,
+void BroadcastService::Relay(RelayState& state, sim::HostId origin,
                              uint64_t seq, const Id160& limit, int depth,
                              const sim::Payload& payload) {
   if (depth >= kMaxDepth) return;
@@ -86,16 +82,8 @@ void BroadcastService::Relay(RelayState* state, sim::HostId origin,
     // Neighbor i covers up to the next neighbor (or our limit for the last).
     const Id160& sub_limit =
         (i + 1 < in_range.size()) ? in_range[i + 1].id : limit;
-    if (state == nullptr) {
-      ChildEdge edge;
-      edge.host = in_range[i].host;
-      edge.sub_limit = sub_limit;
-      edge.depth = depth + 1;
-      SendDataEdge(origin, seq, &edge, payload);
-      continue;
-    }
-    state->children.emplace_back();
-    ChildEdge& edge = state->children.back();
+    state.children.emplace_back();
+    ChildEdge& edge = state.children.back();
     edge.host = in_range[i].host;
     edge.sub_limit = sub_limit;
     edge.depth = depth + 1;
@@ -186,7 +174,7 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
       !Id160::Deserialize(r, &limit).ok() || !r->GetVarint32(&depth).ok()) {
     return;
   }
-  if (options_.reliable) SendAck(from, origin, seq, kAckData);
+  SendAck(from, origin, seq, kAckData);
   if (AlreadySeen(origin, seq)) {
     ++stats_.duplicates;
     // A second parent picked us up. Its subtree count must not double-count
@@ -198,32 +186,26 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
     // races ahead of the real cover would erase the subtree from the
     // origin's count while leaving the wave marked complete. The ack above
     // already stops its retries; the real cover has its own retry loop.
-    if (options_.reliable) {
-      RelayState* state = FindRelay(origin, seq);
-      if (state == nullptr || state->parent != from) {
-        Writer w;
-        w.PutU8(kCover);
-        w.PutFixed32(origin);
-        w.PutVarint64(seq);
-        w.PutVarint64(0);
-        w.PutU8(1);
-        transport_->Send(from, overlay::Proto::kBroadcast, w);
-      }
+    RelayState* state = FindRelay(origin, seq);
+    if (state == nullptr || state->parent != from) {
+      Writer w;
+      w.PutU8(kCover);
+      w.PutFixed32(origin);
+      w.PutVarint64(seq);
+      w.PutVarint64(0);
+      w.PutU8(1);
+      transport_->Send(from, overlay::Proto::kBroadcast, w);
     }
     return;
   }
   stats_.max_depth_seen =
       std::max(stats_.max_depth_seen, static_cast<int>(depth));
   Deliver(origin, seq, from, static_cast<int>(depth), body);
-  if (!options_.reliable) {
-    Relay(nullptr, origin, seq, limit, static_cast<int>(depth), body);
-    return;
-  }
   RelayState& state = relays_[{origin, seq}];
   state.parent = from;
   state.payload = body;
   state.expires = transport_->simulation()->now() + kSeenTtl;
-  Relay(&state, origin, seq, limit, static_cast<int>(depth), body);
+  Relay(state, origin, seq, limit, static_cast<int>(depth), body);
   ArmCoverDeadline(origin, seq);
   MaybeFinishCover(origin, seq, &state);  // leaf: cover immediately
 }

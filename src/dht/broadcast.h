@@ -8,11 +8,11 @@
 // once on a stabilized ring; duplicates arising from imperfect neighbor
 // views are suppressed by a seen-cache.
 //
-// PR 8 makes the tree success-tolerant: every tree edge is acked and
-// retransmitted with jittered backoff (a lost kPlan/kCancel no longer
-// silently excludes a subtree), and a "cover wave" flows back up the tree —
-// each node reports its subtree's delivered-node count and a complete flag
-// once all children have covered or conclusively failed. The origin's
+// The tree is success-tolerant: every tree edge is acked and retransmitted
+// with jittered backoff (a lost kPlan/kCancel never silently excludes a
+// subtree), and a "cover wave" flows back up the tree — each node reports
+// its subtree's delivered-node count and a complete flag once all children
+// have covered or conclusively failed. The origin's
 // coverage callback is how the query engine learns members_expected /
 // coverage_complete for its Completeness accounting.
 
@@ -33,9 +33,6 @@ namespace pier {
 namespace dht {
 
 struct BroadcastOptions {
-  /// Ack + retransmit each tree edge and run the cover wave. Off restores
-  /// the fire-and-forget tree (kept for measurement).
-  bool reliable = true;
   /// First retransmit after this long; exponential backoff (x2) up to
   /// ack_max, jittered +/-25% per attempt (deterministic hash jitter).
   Duration ack_timeout = Millis(400);
@@ -131,9 +128,9 @@ class BroadcastService {
   void OnData(sim::HostId from, Reader* r, const sim::Payload& body);
   void OnAck(sim::HostId from, Reader* r);
   void OnCover(sim::HostId from, Reader* r);
-  /// Forwards into (self, limit), splitting among neighbors. When `state`
-  /// is non-null (reliable mode) the edges are recorded for ack tracking.
-  void Relay(RelayState* state, sim::HostId origin, uint64_t seq,
+  /// Forwards into (self, limit), splitting among neighbors, and records
+  /// each edge in `state` for ack tracking.
+  void Relay(RelayState& state, sim::HostId origin, uint64_t seq,
              const Id160& limit, int depth, const sim::Payload& payload);
   void SendDataEdge(sim::HostId origin, uint64_t seq, ChildEdge* edge,
                     const sim::Payload& payload);

@@ -664,10 +664,6 @@ void QueryEngine::SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
     }
     aq->bytes_shipped += inner.size();
   }
-  if (!options_.reliable_results) {
-    SendDirect(to, inner);
-    return;
-  }
   std::string bytes = inner.Release();
   pending_result_bytes_ += bytes.size();
   if (!control && to == aq->env.origin) ++aq->outbox.data_to_origin;
@@ -789,10 +785,7 @@ void QueryEngine::OnFrameAck(Reader* r) {
 }
 
 void QueryEngine::OnOutboxDrained(ActiveQuery* aq) {
-  if (aq->is_origin || aq->ended || !aq->accountable ||
-      !options_.reliable_results) {
-    return;
-  }
+  if (aq->is_origin || aq->ended || !aq->accountable) return;
   // A drained outbox means nothing while this epoch's scheduled scans are
   // still queued: more data frames are coming, and an early "done" claim
   // would let the origin certify an answer missing them.
@@ -832,10 +825,7 @@ void QueryEngine::OnCoverage(uint64_t seq, uint64_t members, bool complete) {
 }
 
 void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq, uint64_t epoch) {
-  if (!aq->is_origin || aq->ended || !aq->accountable ||
-      !options_.reliable_results) {
-    return;
-  }
+  if (!aq->is_origin || aq->ended || !aq->accountable) return;
   if (aq->cancelled || aq->deadline_expired) return;
   if (!aq->coverage_complete || aq->members_expected == 0) return;
   if (!aq->shed_members.empty()) return;
@@ -906,8 +896,7 @@ void QueryEngine::OnEpochScansDone(uint64_t qid, uint64_t epoch) {
   aq->scans_done_epoch =
       std::max(aq->scans_done_epoch, static_cast<int64_t>(epoch));
   if (aq->ended) return;
-  if (!aq->is_origin && aq->accountable && options_.reliable_results &&
-      aq->outbox.data_drained()) {
+  if (!aq->is_origin && aq->accountable && aq->outbox.data_drained()) {
     // Everything this member will contribute for the epoch is already
     // acked — the drain event fired before the scans-done gate opened, so
     // report now.
@@ -1045,7 +1034,8 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
   } else {
     c.members_expected = aq->members_expected;
     c.coverage_complete = aq->coverage_complete;
-    if (aq->accountable && options_.reliable_results) {
+    c.members_reported = reporters;
+    if (aq->accountable) {
       // Members with nothing to contribute still report; count them (and
       // the origin itself) over the raw data-reporter set.
       uint64_t reported = 1;
@@ -1053,8 +1043,6 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
         if (rep.epoch >= epoch) ++reported;
       }
       c.members_reported = std::max(reported, reporters);
-    } else {
-      c.members_reported = reporters;
     }
   }
   for (const auto& [host, rep] : aq->reports) {
@@ -1443,9 +1431,8 @@ void QueryEngine::StartEpoch(ActiveQuery* aq, uint64_t epoch) {
       if (seq != 0) coverage_waits_[seq] = {qid, epoch};
     }
   }
-  // The runtime signals OnEpochScansDone when this epoch's scans complete
-  // (synchronously on the legacy path, after the scheduler drains them on
-  // the multi-tenant path); members report and origins certify from there.
+  // The runtime signals OnEpochScansDone once the scheduler has drained
+  // this epoch's scans; members report and origins certify from there.
   aq->runtime->StartEpoch(epoch);
 }
 

@@ -168,8 +168,7 @@ class QueryEngine : public ops::StageHost {
 
   // -- reliable result plane -------------------------------------------------
   /// Wraps `inner` (a complete direct message) in an acked kFrame envelope
-  /// and owns its retransmit schedule; falls back to a bare send when
-  /// EngineOptions::reliable_results is off.
+  /// and owns its retransmit schedule.
   void SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
                     bool control);
   void SendFrameOnce(ActiveQuery* aq, uint64_t frame_id);

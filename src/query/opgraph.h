@@ -25,6 +25,7 @@
 #ifndef PIER_QUERY_OPGRAPH_H_
 #define PIER_QUERY_OPGRAPH_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,12 @@ enum class JoinStrategy : uint8_t {
   kSymmetricSemi = 2,  ///< rehash keys+ids only, fetch full tuples on match
   kBloom = 3,          ///< pre-filter both sides with exchanged Bloom filters
 };
+
+/// Geometry of each per-side kBloom filter. The join stage builds its
+/// filters with it and the planner's cost model prices the filter wave from
+/// it, so the two can never disagree.
+inline constexpr size_t kJoinBloomBits = 1 << 14;
+inline constexpr int kJoinBloomHashes = 5;
 
 /// How partial aggregates reach the query origin.
 enum class AggStrategy : uint8_t {

@@ -2,7 +2,7 @@
 // kPartialAgg opgraph node plus the kTree exchange's combine duty.
 //
 // Two input protocols share one stage:
-//  - Scan-fed (epochal): BeginEpoch / PushRaw / EndScan once per epoch.
+//  - Scan-fed (epochal): BeginEpoch / PushRawBatch / EndScan once per epoch.
 //    Local rows partial-aggregate, then flush by the node's output
 //    exchange: kTree folds into this node's TreeCombiner (held until
 //    children have flushed), anything else ships partials immediately.
@@ -40,11 +40,9 @@ class AggStage : public Stage {
 
   // -- scan-fed (epochal) ----------------------------------------------------
   void BeginEpoch(uint64_t epoch);
-  bool PushRaw(const catalog::Tuple& t);  ///< EmitFn-compatible
-  /// Batch-plane twin of PushRaw: folds every live row of `b` into the
-  /// epoch's grouped partial states via VectorGroupBy (BatchEmitFn shape).
-  /// Both paths drain through the same EndScan; their partials are
-  /// identical row for row (the vectorized differential suite's contract).
+  /// Folds every live row of `b` into the epoch's grouped partial states
+  /// via VectorGroupBy (BatchEmitFn shape). Its drain matches GroupByOp's
+  /// row for row (the vectorized differential suite's contract).
   bool PushRawBatch(exec::RowBatch& b);
   void EndScan();
 
@@ -74,9 +72,7 @@ class AggStage : public Stage {
   ExchangeKind route_;  ///< the node's output exchange (kTree or kToOrigin)
 
   uint64_t scan_epoch_ = 0;
-  std::unique_ptr<exec::GroupByOp> partial_op_;
-  /// Batch-plane accumulator; an epoch feeds exactly one of partial_op_ /
-  /// vgb_ (the scan ran either the tuple or the batch pipeline).
+  /// The epoch's accumulator; null until its first batch arrives.
   std::unique_ptr<exec::VectorGroupBy> vgb_;
 
   std::unique_ptr<exec::GroupByOp> streaming_op_;

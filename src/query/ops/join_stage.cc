@@ -59,9 +59,9 @@ void JoinStage::InitOrigin() {
   if (node_->strategy != JoinStrategy::kBloom) return;
   const EngineOptions& o = host_->engine_options();
   collect_left_ =
-      std::make_unique<BloomFilter>(o.bloom_bits, o.bloom_hashes);
+      std::make_unique<BloomFilter>(kJoinBloomBits, kJoinBloomHashes);
   collect_right_ =
-      std::make_unique<BloomFilter>(o.bloom_bits, o.bloom_hashes);
+      std::make_unique<BloomFilter>(kJoinBloomBits, kJoinBloomHashes);
   host_->ScheduleStageTimer(o.bloom_wait, qid_, node_id_,
                             kBloomBroadcastToken);
 }
@@ -133,9 +133,8 @@ void JoinStage::Setup() {
 }
 
 void JoinStage::BloomPhase1() {
-  const EngineOptions& o = host_->engine_options();
-  BloomFilter left(o.bloom_bits, o.bloom_hashes);
-  BloomFilter right(o.bloom_bits, o.bloom_hashes);
+  BloomFilter left(kJoinBloomBits, kJoinBloomHashes);
+  BloomFilter right(kJoinBloomBits, kJoinBloomHashes);
   // One pass per side: the same scan builds the filter AND caches the rows
   // phase 2 publishes. Besides halving the scan cost, this pins the filter
   // and the published snapshot to the same instant — a tuple arriving
@@ -254,7 +253,7 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           rows.erase(kept, rows.end());
         }
         if (rows.empty()) return;
-        if (host_->engine_options().vectorized && scan != nullptr) {
+        if (scan != nullptr) {
           // One column-major frame per rendezvous owner per scan, instead
           // of one DHT put per tuple.
           exchange_->PublishBatch(side, keys, scan->schema, rows);
@@ -296,8 +295,7 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           projs.push_back(std::move(proj));
         }
         host_->mutable_stats()->semijoin_bytes_saved += saved;
-        if (host_->engine_options().vectorized && scan != nullptr &&
-            !projs.empty()) {
+        if (scan != nullptr && !projs.empty()) {
           // Key projections ride the columnar plane exactly like the hash
           // path: one frame per rendezvous owner instead of one put per
           // row (this used to fall back to tuple-at-a-time silently).

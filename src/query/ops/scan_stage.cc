@@ -24,36 +24,6 @@ void ScanStage::Run(const EmitFn& emit) {
   });
 }
 
-void ScanStage::RunBatch(size_t batch_size,
-                         const std::vector<int>& needed_cols,
-                         const BatchEmitFn& emit) {
-  ++host_->mutable_stats()->scans_run;
-  TimePoint cutoff = window_ > 0 ? host_->sim()->now() - window_ : 0;
-  if (batch_size == 0) batch_size = 1;
-  exec::RowBatchBuilder builder(node_->schema);
-  builder.Reserve(batch_size);
-  builder.SetNeededColumns(needed_cols);
-  bool go = true;
-  auto flush = [&]() {
-    size_t rows = builder.num_rows();
-    if (rows == 0) return;
-    host_->mutable_stats()->tuples_scanned += rows;
-    ++host_->mutable_stats()->batches_scanned;
-    exec::RowBatch b = builder.Take();
-    go = emit(b);
-  };
-  host_->dht()->ForEachLocalReadable(node_->table,
-                                     [&](const dht::StoredItem& item) {
-    if (item.stored_at < cutoff) return true;
-    // AppendSerialized skips exactly the rows the tuple scan skips:
-    // undecodable bytes and width mismatches.
-    builder.AppendSerialized(item.value);
-    if (builder.num_rows() >= batch_size) flush();
-    return go;
-  });
-  if (go) flush();
-}
-
 }  // namespace ops
 }  // namespace query
 }  // namespace pier

@@ -22,14 +22,6 @@ class ScanStage : public Stage {
   /// when `emit` returns false (LIMIT pushdown).
   void Run(const EmitFn& emit);
 
-  /// Batch-plane scan pass: decodes the slice straight into column batches
-  /// of up to `batch_size` rows and flushes each into `emit`. `needed_cols`
-  /// enables scan-side column pruning (empty = decode everything); rows the
-  /// tuple path would skip (malformed bytes, width mismatch) are skipped
-  /// identically. Stops at the first `emit` returning false.
-  void RunBatch(size_t batch_size, const std::vector<int>& needed_cols,
-                const BatchEmitFn& emit);
-
  private:
   StageHost* host_;
   const OpNode* node_;

@@ -45,8 +45,6 @@ struct EngineOptions {
   /// Bloom join: origin collects per-node filters for this long before
   /// redistributing the union.
   Duration bloom_wait = Seconds(4);
-  size_t bloom_bits = 1 << 14;
-  int bloom_hashes = 5;
   /// TTL on rehashed temp tuples (per-query exchange namespaces).
   Duration temp_ttl = Seconds(90);
   /// Recursion: the origin declares fixpoint after this long without a new
@@ -55,27 +53,21 @@ struct EngineOptions {
   Duration recursion_deadline = Seconds(120);
   /// Member-side state GC delay after a query ends.
   Duration cleanup_delay = Seconds(30);
-  /// Vectorized data plane: epochal scan pipelines decode store slices into
-  /// column batches, evaluate compiled predicate kernels, aggregate with
-  /// VectorGroupBy, and ship results/partials as column-major RowBatch
-  /// frames (one message per batch instead of one per tuple). Pipelines the
-  /// batch plane cannot express (joins, recursion, index cursors) fall back
-  /// to the tuple path per scan — answers are identical either way.
-  bool vectorized = true;
-  /// Rows per batch on the vectorized path.
+  /// Rows per batch on the batch plane: epochal scan pipelines decode store
+  /// slices into column batches, evaluate compiled predicate kernels,
+  /// aggregate with VectorGroupBy, and ship results/partials as column-major
+  /// RowBatch frames (one message per batch instead of one per tuple).
   uint32_t batch_size = 1024;
   /// Max rows per kResultBatch frame on the member->origin hop. A lost
-  /// frame costs the whole frame (until its retransmit lands, or for good
-  /// with reliable_results off): a small cap keeps the loss blast radius
-  /// (and thus recall under faulty links) close to the row-at-a-time plane
-  /// while still amortizing per-message framing. 0 = unbounded.
+  /// frame costs the whole frame until its retransmit lands (or for good,
+  /// once the retry budget is spent): a small cap keeps the loss blast
+  /// radius (and thus recall under faulty links) close to the row-at-a-time
+  /// plane while still amortizing per-message framing. 0 = unbounded.
   uint32_t result_frame_rows = 4;
   // -- reliable result plane --------------------------------------------------
-  /// Wrap every member->origin / member->parent result and partial frame in
-  /// an acked, retried kFrame envelope with per-query monotone frame ids.
-  /// Receivers dedupe by frame id, so retransmits are idempotent. Off =
-  /// PR 7's fire-and-forget plane (kept for A/B tests and measurement).
-  bool reliable_results = true;
+  // Every member->origin / member->parent result and partial frame rides an
+  // acked, retried kFrame envelope with per-query monotone frame ids.
+  // Receivers dedupe by frame id, so retransmits are idempotent.
   /// First retransmit after this long without an ack; subsequent attempts
   /// back off exponentially (x2) up to retry_max, each delay jittered by
   /// +/- retry_jitter to decorrelate retransmit storms across senders.
@@ -108,11 +100,8 @@ struct EngineOptions {
   /// origin admission (a PIQL-style bounded-cost gate).
   uint32_t max_plan_operators = 64;
   // -- multi-tenant scheduler -------------------------------------------------
-  /// Run epochal scans through the per-node QueryScheduler (round-robin over
-  /// live queries with per-query quanta + shared-scan batching) instead of
-  /// synchronously inside StartEpoch. Off = the single-tenant PR 7 path,
-  /// kept for A/B tests.
-  bool scheduler_enabled = true;
+  // Epochal scans run through the per-node QueryScheduler: round-robin over
+  // live queries with per-query quanta + shared-scan batching.
   /// Rows one query may consume from the store per scheduler round before
   /// the round-robin cursor moves on (fairness quantum). Served in whole
   /// batches, so the effective quantum rounds up to a batch boundary.
@@ -186,8 +175,10 @@ struct EngineStats {
   uint64_t batches_scanned = 0;      ///< RowBatches flushed by batch scans
   uint64_t batch_frames_sent = 0;    ///< column-major wire frames sent
   uint64_t batch_frames_received = 0;
-  /// Epochal scan pipelines that requested vectorization but ran the tuple
-  /// path (unsupported chain shape downstream of the scan).
+  /// Epochal scan pipelines that ran the tuple path. Always 0 now: every
+  /// epochal scan pipeline runs on the batch plane. Kept, and read by the
+  /// perfbench report, until joins, recursion and index cursors are batched
+  /// as well.
   uint64_t vectorized_fallbacks = 0;
   // -- reliable result plane -------------------------------------------------
   uint64_t frames_sent = 0;           ///< kFrame envelopes first-sent
@@ -230,8 +221,8 @@ struct EngineStats {
 /// marked `exact` only when the engine can certify nothing is missing.
 struct Completeness {
   /// Members the dissemination tree confirmed covered for this epoch's plan
-  /// broadcast (origin included). 0 = coverage unknown (reliable broadcast
-  /// disabled or the cover wave had not returned by finalize time).
+  /// broadcast (origin included). 0 = coverage unknown (the cover wave had
+  /// not returned by finalize time).
   uint64_t members_expected = 0;
   /// Members whose results (or per-epoch completion reports) reached the
   /// origin for this epoch, origin included.

@@ -1,8 +1,8 @@
 // QueryScheduler: the per-node multi-tenant dispatch loop for epochal scan
-// work. PR 7's runtime ran every scan synchronously inside StartEpoch, so a
-// node hosting many live queries served them strictly in plan-arrival order
-// — one heavy scan starved every neighbor, and N concurrent queries over
-// the same table walked the LocalStore N times. The scheduler fixes both:
+// work. Running every scan synchronously inside StartEpoch would serve a
+// node's live queries strictly in plan-arrival order — one heavy scan
+// starving every neighbor — and N concurrent queries over the same table
+// would walk the LocalStore N times. The scheduler fixes both:
 //
 //   - fairness: submitted scans join a round-robin ring and each round
 //     serves at most `quantum_rows` rows per query before the cursor moves
@@ -15,8 +15,8 @@
 //     to the shared stream, so answers are byte-identical to a solo scan.
 //
 // The scheduler knows nothing about queries beyond the ScanWork contract:
-// the runtime hands it a feed callback (the same batch pipeline StartEpoch
-// used to drive) plus a completion callback, and the engine injects an
+// the runtime hands it a feed callback (the query's compiled batch
+// pipeline) plus a completion callback, and the engine injects an
 // abort probe so ended or budget-tripped queries stop consuming quanta.
 
 #ifndef PIER_QUERY_SCHEDULER_H_
@@ -48,10 +48,6 @@ struct ScanWork {
   /// Continuous-query window (0 = whole live snapshot). Rows stored before
   /// now - window are excluded from the sweep.
   Duration window = 0;
-  /// Count served batches in EngineStats::batches_scanned (the vectorized
-  /// pipeline does; the tuple-adapter fallback does not, matching the
-  /// legacy ScanStage accounting).
-  bool count_batches = false;
   /// The query's own pipeline: filter/project/agg kernels plus the emit
   /// sink. Receives each shared batch (as a private copy — feeds mutate
   /// selections); returns false to stop the scan early (LIMIT pushdown).
