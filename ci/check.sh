@@ -15,9 +15,9 @@
 #   --no-perf    Skip the perf-smoke step (bench_sim_core + bench_table1 +
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
-#                bench_join_strategies with --json, merged into
-#                BENCH_PR10.json). The smoke fails only on a bench
-#                self-check mismatch (all deterministic), the vectorized
+#                bench_join_strategies + bench_dissemination with --json,
+#                merged into BENCH_PR10.json). The smoke fails only on a
+#                bench self-check mismatch (all deterministic), the vectorized
 #                bench's >=5x speedup gate, or the join-strategy bench's
 #                >=5x traffic-reduction gate, never on raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
@@ -134,6 +134,10 @@ if [[ $PERF -eq 1 ]]; then
   # cutting query-plane bytes >=5x versus the stats-blind symmetric-hash
   # plan for the same low-match workload (deterministic virtual time).
   "$BUILD_DIR/bench_join_strategies" --json=BENCH_PR10.json | tail -6
+  # Dissemination trees at 16..512 nodes plus a 200-broadcast burst over
+  # 256 nodes (the dedupe table under load). Gates on every broadcast
+  # reaching every node; deliveries per wall-second are recorded only.
+  "$BUILD_DIR/bench_dissemination" --json=BENCH_PR10.json | tail -4
 fi
 
 echo "== OK =="

@@ -21,7 +21,7 @@ BroadcastService::BroadcastService(overlay::Transport* transport,
 
 BroadcastService::~BroadcastService() {
   running_ = false;
-  for (sim::TimerId id : timers_) transport_->simulation()->Cancel(id);
+  timers_.CancelAll(transport_->simulation());
 }
 
 sim::TimerId BroadcastService::ScheduleTimer(Duration delay,
@@ -31,7 +31,7 @@ sim::TimerId BroadcastService::ScheduleTimer(Duration delay,
         if (!running_) return;
         fn();
       });
-  timers_.push_back(id);
+  timers_.Add(*transport_->simulation(), id);
   return id;
 }
 
@@ -40,13 +40,12 @@ uint64_t BroadcastService::Broadcast(sim::Payload payload) {
   uint64_t seq = next_seq_++;
   ++stats_.initiated;
   sim::HostId self = transport_->self();
-  AlreadySeen(self, seq);  // mark, so loops back to us are suppressed
+  // Marked before delivery, so loops back to us are suppressed.
+  RelayState& state = *MarkSeen(self, seq);
   Deliver(self, seq, /*parent=*/self, 0, payload);
-  RelayState& state = relays_[{self, seq}];
   state.parent = self;
   state.is_origin = true;
   state.payload = payload;
-  state.expires = transport_->simulation()->now() + kSeenTtl;
   // Whole ring: limit == own id (the interval (self, self) wraps all the
   // way around).
   Relay(state, self, seq, router_->self().id, 0, payload);
@@ -61,30 +60,29 @@ void BroadcastService::Relay(RelayState& state, sim::HostId origin,
   if (depth >= kMaxDepth) return;
   const Id160 self_id = router_->self().id;
   std::vector<overlay::NodeInfo> neighbors = router_->RoutingNeighbors();
-  // Keep only neighbors strictly inside (self, limit), sorted clockwise.
-  std::vector<overlay::NodeInfo> in_range;
+  // Keep only neighbors strictly inside (self, limit), sorted clockwise on
+  // their distance from self, computed once per neighbor.
+  std::vector<std::pair<Id160, overlay::NodeInfo>> in_range;
+  in_range.reserve(neighbors.size());
   for (const auto& n : neighbors) {
     if (limit == self_id || n.id.InIntervalOpenOpen(self_id, limit)) {
-      in_range.push_back(n);
+      in_range.emplace_back(self_id.DistanceTo(n.id), n);
     }
   }
   std::sort(in_range.begin(), in_range.end(),
-            [&](const overlay::NodeInfo& a, const overlay::NodeInfo& b) {
-              return self_id.DistanceTo(a.id) < self_id.DistanceTo(b.id);
-            });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   in_range.erase(std::unique(in_range.begin(), in_range.end(),
-                             [](const overlay::NodeInfo& a,
-                                const overlay::NodeInfo& b) {
-                               return a.host == b.host;
+                             [](const auto& a, const auto& b) {
+                               return a.second.host == b.second.host;
                              }),
                  in_range.end());
   for (size_t i = 0; i < in_range.size(); ++i) {
     // Neighbor i covers up to the next neighbor (or our limit for the last).
     const Id160& sub_limit =
-        (i + 1 < in_range.size()) ? in_range[i + 1].id : limit;
+        (i + 1 < in_range.size()) ? in_range[i + 1].second.id : limit;
     state.children.emplace_back();
     ChildEdge& edge = state.children.back();
-    edge.host = in_range[i].host;
+    edge.host = in_range[i].second.host;
     edge.sub_limit = sub_limit;
     edge.depth = depth + 1;
     SendDataEdge(origin, seq, &edge, payload);
@@ -175,7 +173,8 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
     return;
   }
   SendAck(from, origin, seq, kAckData);
-  if (AlreadySeen(origin, seq)) {
+  RelayState* fresh = MarkSeen(origin, seq);
+  if (fresh == nullptr) {
     ++stats_.duplicates;
     // A second parent picked us up. Its subtree count must not double-count
     // ours (the first parent accounts for it), so cover it with zero
@@ -201,10 +200,9 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
   stats_.max_depth_seen =
       std::max(stats_.max_depth_seen, static_cast<int>(depth));
   Deliver(origin, seq, from, static_cast<int>(depth), body);
-  RelayState& state = relays_[{origin, seq}];
+  RelayState& state = *fresh;
   state.parent = from;
   state.payload = body;
-  state.expires = transport_->simulation()->now() + kSeenTtl;
   Relay(state, origin, seq, limit, static_cast<int>(depth), body);
   ArmCoverDeadline(origin, seq);
   MaybeFinishCover(origin, seq, &state);  // leaf: cover immediately
@@ -354,26 +352,17 @@ void BroadcastService::Deliver(sim::HostId origin, uint64_t seq,
   if (handler_) handler_(origin, seq, parent, depth, payload);
 }
 
-bool BroadcastService::AlreadySeen(sim::HostId origin, uint64_t seq) {
+BroadcastService::RelayState* BroadcastService::MarkSeen(sim::HostId origin,
+                                                         uint64_t seq) {
   TimePoint now = transport_->simulation()->now();
-  for (auto it = seen_.begin(); it != seen_.end();) {
-    if (it->second <= now) {
-      it = seen_.erase(it);
-    } else {
-      ++it;
-    }
+  while (!expiry_.empty() && expiry_.front().first <= now) {
+    relays_.erase(expiry_.front().second);
+    expiry_.pop_front();
   }
-  for (auto it = relays_.begin(); it != relays_.end();) {
-    if (it->second.expires <= now) {
-      it = relays_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  auto [it, inserted] = seen_.emplace(std::make_pair(origin, seq),
-                                      now + kSeenTtl);
-  (void)it;
-  return !inserted;
+  auto [it, inserted] = relays_.try_emplace(RelayKey{origin, seq});
+  if (!inserted) return nullptr;
+  expiry_.emplace_back(now + kSeenTtl, it->first);
+  return &it->second;
 }
 
 }  // namespace dht

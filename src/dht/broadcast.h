@@ -6,7 +6,11 @@
 // interval (self, limit) splits it among its routing neighbors, giving each
 // neighbor the sub-interval up to the next neighbor. Every node is reached
 // once on a stabilized ring; duplicates arising from imperfect neighbor
-// views are suppressed by a seen-cache.
+// views are suppressed by the relay table: one hashed entry per (origin, seq)
+// whose presence is the dedupe mark, expired kSeenTtl after first delivery
+// from the front of an insertion-ordered FIFO (the TTL is one constant, so
+// insertion order is expiry order). Per-delivery cost is amortized O(1) no
+// matter how many broadcasts are in flight.
 //
 // The tree is success-tolerant: every tree edge is acked and retransmitted
 // with jittered backoff (a lost kPlan/kCancel never silently excludes a
@@ -20,11 +24,14 @@
 #define PIER_DHT_BROADCAST_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/backoff.h"
 #include "overlay/router.h"
 #include "overlay/transport.h"
 #include "sim/event_queue.h"
@@ -91,6 +98,13 @@ class BroadcastService {
 
   const BroadcastStats& stats() const { return stats_; }
   const BroadcastOptions& options() const { return options_; }
+  /// (origin, seq) pairs in the dedupe window: every broadcast this node
+  /// delivered in the last kSeenTtl, plus expired ones not yet swept (the
+  /// sweep runs on the next delivery).
+  size_t tracked_broadcasts() const { return relays_.size(); }
+
+  /// How long a delivered (origin, seq) suppresses re-deliveries.
+  static constexpr Duration kSeenTtl = Seconds(120);
 
  private:
   /// Leading kind byte of every Proto::kBroadcast frame.
@@ -120,9 +134,14 @@ class BroadcastService {
     int cover_attempts = 0;
     uint64_t cover_count = 0;
     bool cover_complete = true;
-    TimePoint expires = 0;
   };
   using RelayKey = std::pair<sim::HostId, uint64_t>;
+  struct RelayKeyHash {
+    size_t operator()(const RelayKey& k) const {
+      return static_cast<size_t>(
+          MixHash64((static_cast<uint64_t>(k.first) << 32) ^ k.second));
+    }
+  };
 
   void OnMessage(sim::HostId from, Reader* r, const sim::Payload& body);
   void OnData(sim::HostId from, Reader* r, const sim::Payload& body);
@@ -146,7 +165,10 @@ class BroadcastService {
   RelayState* FindRelay(sim::HostId origin, uint64_t seq);
   void Deliver(sim::HostId origin, uint64_t seq, sim::HostId parent,
                int depth, const sim::Payload& payload);
-  bool AlreadySeen(sim::HostId origin, uint64_t seq);
+  /// Drops relay entries whose TTL has passed (the only place entries are
+  /// dropped), then starts tracking (origin, seq). Returns its fresh relay
+  /// state, or nullptr if (origin, seq) is already tracked: a duplicate.
+  RelayState* MarkSeen(sim::HostId origin, uint64_t seq);
   sim::TimerId ScheduleTimer(Duration delay, std::function<void()> fn);
 
   overlay::Transport* transport_;
@@ -156,14 +178,15 @@ class BroadcastService {
   CoverageFn coverage_fn_;
   bool running_ = true;
   uint64_t next_seq_ = 1;
-  /// (origin, seq) -> expiry of the dedup entry.
-  std::map<RelayKey, TimePoint> seen_;
-  std::map<RelayKey, RelayState> relays_;
-  std::vector<sim::TimerId> timers_;
+  /// (origin, seq) -> relay bookkeeping. Presence is the dedupe mark.
+  std::unordered_map<RelayKey, RelayState, RelayKeyHash> relays_;
+  /// (expiry, key) for every entry of relays_, in insertion order, which is
+  /// expiry order.
+  std::deque<std::pair<TimePoint, RelayKey>> expiry_;
+  sim::OwnedTimers timers_;
   BroadcastStats stats_;
 
   static constexpr int kMaxDepth = 64;
-  static constexpr Duration kSeenTtl = Seconds(120);
 };
 
 }  // namespace dht

@@ -221,12 +221,17 @@ std::vector<NodeInfo> ChordNode::RoutingNeighbors() const {
     out.push_back(n);
   };
   for (const auto& s : successors_) add(s);
-  // Fingers in increasing clockwise distance from self.
-  std::vector<NodeInfo> fs = CompactFingers();
-  std::sort(fs.begin(), fs.end(), [this](const NodeInfo& a, const NodeInfo& b) {
-    return self_.id.DistanceTo(a.id) < self_.id.DistanceTo(b.id);
-  });
-  for (const auto& f : fs) add(f);
+  // Fingers in increasing clockwise distance from self, each distance
+  // computed once.
+  const std::vector<NodeInfo>& fingers = CompactFingers();
+  std::vector<std::pair<Id160, NodeInfo>> fs;
+  fs.reserve(fingers.size());
+  for (const auto& f : fingers) {
+    fs.emplace_back(self_.id.DistanceTo(f.id), f);
+  }
+  std::sort(fs.begin(), fs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& f : fs) add(f.second);
   return out;
 }
 

@@ -220,14 +220,13 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
 QueryEngine::~QueryEngine() {
   // A destroyed engine (node crash or reboot) must leave no timers behind:
   // callbacks capture `this`.
-  for (sim::TimerId id : engine_timers_) sim_->Cancel(id);
+  engine_timers_.CancelAll(sim_);
 }
 
 void QueryEngine::Stop() {
   if (stopped_) return;
   stopped_ = true;
-  for (sim::TimerId id : engine_timers_) sim_->Cancel(id);
-  engine_timers_.clear();
+  engine_timers_.CancelAll(sim_);
   for (auto& [qid, aq] : queries_) {
     (void)qid;
     aq->epoch_task.Stop();
@@ -249,7 +248,7 @@ sim::TimerId QueryEngine::ScheduleEngineTimer(Duration delay,
                                               std::function<void()> fn) {
   if (stopped_) return 0;
   sim::TimerId id = sim_->ScheduleAfter(delay, std::move(fn));
-  engine_timers_.push_back(id);
+  engine_timers_.Add(*sim_, id);
   return id;
 }
 
@@ -257,7 +256,7 @@ sim::TimerId QueryEngine::ScheduleEngineTimerAt(TimePoint when,
                                                 std::function<void()> fn) {
   if (stopped_) return 0;
   sim::TimerId id = sim_->ScheduleAt(when, std::move(fn));
-  engine_timers_.push_back(id);
+  engine_timers_.Add(*sim_, id);
   return id;
 }
 
@@ -304,9 +303,11 @@ bool QueryEngine::HasLiveQuery(uint64_t qid) const {
 
 Status QueryEngine::CheckReliableAccounting() const {
   uint64_t live_pending = 0;
+  size_t live = 0;
   for (const auto& [qid, aq] : queries_) {
     if (!aq->ended) {
       live_pending += aq->outbox.pending_bytes();
+      ++live;
       continue;
     }
     // Ended-but-unGCed husks exist only to absorb stragglers; any reliable
@@ -331,6 +332,11 @@ Status QueryEngine::CheckReliableAccounting() const {
         "admission counter drift: pending_result_bytes=" +
         std::to_string(pending_result_bytes_) + " but live outboxes hold " +
         std::to_string(live_pending));
+  }
+  if (live != live_queries_) {
+    return Status::Internal("admission counter drift: live_queries=" +
+                            std::to_string(live_queries_) + " but " +
+                            std::to_string(live) + " queries have not ended");
   }
   return Status::OK();
 }
@@ -1100,11 +1106,7 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
 
   // Admission: refuse at issue time rather than degrade mid-flight. A
   // refused caller gets a typed Busy and nothing was broadcast.
-  size_t live = 0;
-  for (const auto& [id, q] : queries_) {
-    if (!q->ended) ++live;
-  }
-  if (live >= options_.max_live_queries) {
+  if (live_queries_ >= options_.max_live_queries) {
     ++stats_.admission_refusals;
     return Status::Busy("admission: live-query budget exhausted");
   }
@@ -1146,6 +1148,7 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   raw->accountable =
       raw->runtime->epochal() && IsAccountableGraph(raw->env.plan.graph);
   queries_.emplace(query_id, std::move(aq));
+  ++live_queries_;
 
   if (raw->env.deadline > 0) {
     raw->deadline_timer = ScheduleEngineTimerAt(
@@ -1262,6 +1265,7 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
   if (it == queries_.end() || it->second->ended) return;
   ActiveQuery* aq = it->second.get();
   aq->ended = true;
+  --live_queries_;
   aq->epoch_task.Stop();
   aq->quiesce_task.Stop();
   // Drop unacked frames with the query: retransmitting into a dead query
@@ -1320,11 +1324,7 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
     if (env.origin != transport_->self()) {
       AdmissionReason refuse_reason{};
       bool refused = false;
-      size_t live = 0;
-      for (const auto& [id, q] : queries_) {
-        if (!q->ended) ++live;
-      }
-      if (live >= options_.max_live_queries) {
+      if (live_queries_ >= options_.max_live_queries) {
         refused = true;
         refuse_reason = AdmissionReason::kLiveQueries;
       } else if (pending_result_bytes_ > options_.max_pending_result_bytes) {
@@ -1346,6 +1346,7 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
     aq->parent = parent;
     aq->depth = depth;
     queries_.emplace(env.query_id, std::move(aq));
+    ++live_queries_;
     ++stats_.plans_received;
   }
   ActiveQuery* aq = queries_.find(env.query_id)->second.get();

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -112,7 +113,8 @@ class QueryEngine : public ops::StageHost {
 
   /// Audits the reliable result plane's teardown accounting: the admission
   /// gate's pending-byte counter must equal the bytes actually sitting in
-  /// live outboxes, and ended queries must hold no reliable-plane state
+  /// live outboxes, its live-query counter must equal the queries that have
+  /// not ended, and ended queries must hold no reliable-plane state
   /// (frames, dedupe windows, member reports). The testkit's
   /// ExchangeHygieneChecker runs this on every node — a leak here is what
   /// wedges admission into permanent Busy under query storms.
@@ -249,8 +251,14 @@ class QueryEngine : public ops::StageHost {
 
   uint64_t next_query_seq_ = 1;
   uint64_t publish_seq_ = 1;
-  std::map<uint64_t, std::unique_ptr<ActiveQuery>> queries_;
-  std::vector<sim::TimerId> engine_timers_;
+  /// Every query this node knows, including ended husks kept for
+  /// cleanup_delay to absorb stragglers. Iterated only for local cleanup
+  /// (Stop) and the teardown audit, never in an order that reaches the wire.
+  std::unordered_map<uint64_t, std::unique_ptr<ActiveQuery>> queries_;
+  /// Entries of queries_ that have not ended: the admission gate's count,
+  /// kept incrementally so admission does not walk the husks.
+  size_t live_queries_ = 0;
+  sim::OwnedTimers engine_timers_;
   bool stopped_ = false;
   /// Bytes sitting in unacked reliable outboxes across all queries — the
   /// admission gate's backpressure signal.

@@ -1,5 +1,7 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+
 namespace pier {
 namespace sim {
 
@@ -33,11 +35,15 @@ void Simulation::FireNode(uint32_t index) {
 }
 
 void Simulation::Cancel(TimerId id) {
+  if (!IsPending(id)) return;
+  FreeNode(static_cast<uint32_t>(id & 0xffffffffu));
+  --live_;
+}
+
+bool Simulation::IsPending(TimerId id) const {
   uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
   uint32_t gen = static_cast<uint32_t>(id >> 32);
-  if (index >= node_count_ || NodeAt(index).gen != gen) return;
-  FreeNode(index);
-  --live_;
+  return index < node_count_ && NodeAt(index).gen == gen;
 }
 
 void Simulation::HeapPush(HeapKey key, HeapRef ref) {
@@ -114,6 +120,19 @@ size_t Simulation::RunAll(size_t max_events) {
     ++count;
   }
   return count;
+}
+
+void OwnedTimers::Add(const Simulation& sim, TimerId id) {
+  ids_.push_back(id);
+  if (ids_.size() < prune_at_) return;
+  std::erase_if(ids_, [&sim](TimerId t) { return !sim.IsPending(t); });
+  prune_at_ = std::max(kMinPrune, 2 * ids_.size());
+}
+
+void OwnedTimers::CancelAll(Simulation* sim) {
+  for (TimerId id : ids_) sim->Cancel(id);
+  ids_.clear();
+  prune_at_ = kMinPrune;
 }
 
 void PeriodicTask::Start(Simulation* sim, Duration initial_delay,

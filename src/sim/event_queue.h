@@ -162,6 +162,9 @@ class Simulation {
   /// Cancels a pending event; no-op if already fired or cancelled. O(1):
   /// the callback is destroyed now, the heap entry is skipped lazily.
   void Cancel(TimerId id);
+  /// True while `id` is scheduled and has neither fired nor been cancelled:
+  /// the same generation test Cancel makes.
+  bool IsPending(TimerId id) const;
 
   /// Runs events until the queue is empty or virtual time would exceed
   /// `deadline`. The clock is left at min(deadline, last event time).
@@ -216,6 +219,9 @@ class Simulation {
   EventNode& NodeAt(uint32_t index) {
     return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
+  const EventNode& NodeAt(uint32_t index) const {
+    return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
+  }
   uint32_t AllocNode();
   void FreeNode(uint32_t index);
   /// Runs the event at `index` in place, then recycles the node. The node's
@@ -237,6 +243,24 @@ class Simulation {
   std::vector<uint32_t> free_nodes_;                  // recycled indices
   uint32_t node_count_ = 0;
   Rng rng_;
+};
+
+/// The timers one component owns, kept so it can cancel them all when it
+/// dies (their callbacks capture it). Ids that fired or were cancelled are
+/// pruned each time the list has doubled since the last prune, so the list
+/// stays proportional to the timers still pending, not to every timer the
+/// component ever scheduled; Add is amortized O(1).
+class OwnedTimers {
+ public:
+  void Add(const Simulation& sim, TimerId id);
+  /// Cancels every pending owned timer and forgets them all.
+  void CancelAll(Simulation* sim);
+  size_t size() const { return ids_.size(); }
+
+ private:
+  static constexpr size_t kMinPrune = 64;
+  std::vector<TimerId> ids_;
+  size_t prune_at_ = kMinPrune;
 };
 
 /// Convenience for protocol loops: reschedules itself every `period` until

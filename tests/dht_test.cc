@@ -14,6 +14,7 @@
 #include "dht/key.h"
 #include "dht/local_store.h"
 #include "dht/storage.h"
+#include "sim/fault_plane.h"
 
 namespace pier {
 namespace dht {
@@ -534,6 +535,46 @@ TEST(BroadcastTest, MostNodesReachedDespiteCrashes) {
     reached += deliveries[i] >= 1 ? 1 : 0;
   }
   EXPECT_GE(reached, 20) << "broadcast should reach nearly all live nodes";
+}
+
+TEST(BroadcastTest, DedupeWindowTracksRecentBroadcastsThenExpires) {
+  // Every packet node 0 sends to node 5 arrives twice: the second copy of
+  // the plan edge is a re-delivery inside the window. Declared before the
+  // network so it outlives it.
+  sim::FaultPlane plane(Rng(5));
+  PierNetwork net(8, OneHopOpts());
+  net.Boot(Seconds(5));
+  net.net()->SetFaultPlane(&plane);
+  TimePoint t0 = net.sim()->now();
+  plane.Duplicate({0}, {5}, 1.0, t0, t0 + Seconds(5));
+  std::vector<int> deliveries(net.size(), 0);
+  for (size_t i = 0; i < net.size(); ++i) {
+    net.node(i)->broadcast()->SetHandler(
+        [&deliveries, i](sim::HostId, uint64_t, sim::HostId, int,
+                         const sim::Payload&) { ++deliveries[i]; });
+  }
+  for (size_t b = 0; b < 3; ++b) {
+    net.node(b)->broadcast()->Broadcast(sim::Payload("wave"));
+  }
+  net.RunFor(Seconds(10));
+  for (size_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(deliveries[i], 3) << "node " << i;
+    EXPECT_EQ(net.node(i)->broadcast()->tracked_broadcasts(), 3u)
+        << "node " << i;
+  }
+  EXPECT_EQ(net.node(5)->broadcast()->stats().duplicates, 1u)
+      << "the re-delivered plan edge must count as a duplicate";
+
+  // Past the window, the next delivery sweeps the three old entries: only
+  // the new broadcast stays tracked.
+  net.sim()->RunUntil(t0 + BroadcastService::kSeenTtl + Seconds(1));
+  net.node(7)->broadcast()->Broadcast(sim::Payload("after"));
+  net.RunFor(Seconds(10));
+  for (size_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(deliveries[i], 4) << "node " << i;
+    EXPECT_EQ(net.node(i)->broadcast()->tracked_broadcasts(), 1u)
+        << "node " << i;
+  }
 }
 
 }  // namespace

@@ -251,6 +251,48 @@ TEST(SchedulerTest, BudgetTripSurfacesInCompleteness) {
   EXPECT_GT(sum.budget_frames_dropped, 0u);
 }
 
+// Ended queries linger as husks for cleanup_delay to absorb stragglers;
+// admission must count only the live ones. Four queries one after another
+// from one origin against a budget of two: each runs alone, so every one is
+// admitted everywhere and certified exact, even though all four husks are
+// still held when the last one issues.
+TEST(SchedulerTest, AdmissionIgnoresEndedHusks) {
+  PierNetworkOptions o;
+  o.seed = 94;
+  o.node.router_kind = RouterKind::kOneHop;
+  o.node.engine.result_wait = Seconds(4);
+  o.node.engine.max_live_queries = 2;
+  PierNetwork net(6, o);
+  net.Boot(Seconds(5));
+  PublishAlerts(net, 48);
+
+  std::vector<ResultBatch> batches;
+  for (size_t q = 0; q < 4; ++q) {
+    Result<uint64_t> qid = net.node(0)->query_engine()->Execute(
+        ScanPlan(), [&](const ResultBatch& b) { batches.push_back(b); });
+    ASSERT_TRUE(qid.ok()) << "query " << q << ": "
+                          << qid.status().ToString();
+    // Every earlier query has ended but is still held as a husk.
+    ASSERT_EQ(net.node(0)->query_engine()->active_queries(), q + 1);
+    net.RunFor(Seconds(6));
+  }
+
+  ASSERT_EQ(batches.size(), 4u);
+  std::multiset<int64_t> want;
+  for (int r = 0; r < 48; ++r) want.insert(r);
+  for (const ResultBatch& b : batches) {
+    EXPECT_TRUE(b.completeness.exact) << b.completeness.ToString();
+    EXPECT_EQ(b.completeness.members_shed, 0u);
+    EXPECT_EQ(RuleIds({b}), want);
+  }
+  EXPECT_EQ(SumStats(net).plans_shed, 0u);
+  for (size_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(net.node(i)->query_engine()->stats().admission_refusals, 0u);
+    EXPECT_TRUE(
+        net.node(i)->query_engine()->CheckReliableAccounting().ok());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scenarios
 // ---------------------------------------------------------------------------

@@ -202,6 +202,48 @@ TEST(SimulationTest, InterleavedSimulationLifetimesNeverDangleClock) {
   EXPECT_EQ(Logger::Instance().clock_source(), nullptr);
 }
 
+TEST(SimulationTest, IsPendingFollowsScheduleFireCancel) {
+  Simulation sim;
+  TimerId fires = sim.ScheduleAfter(Seconds(1), [] {});
+  TimerId cancelled = sim.ScheduleAfter(Seconds(1), [] {});
+  EXPECT_TRUE(sim.IsPending(fires));
+  sim.Cancel(cancelled);
+  EXPECT_FALSE(sim.IsPending(cancelled));
+  sim.RunAll();
+  EXPECT_FALSE(sim.IsPending(fires));
+  // The recycled slot's new timer is pending; the stale id stays dead.
+  TimerId reused = sim.ScheduleAfter(Seconds(1), [] {});
+  EXPECT_TRUE(sim.IsPending(reused));
+  EXPECT_FALSE(sim.IsPending(fires));
+}
+
+TEST(OwnedTimersTest, ListStaysProportionalToPendingTimers) {
+  Simulation sim;
+  OwnedTimers timers;
+  int fired = 0;
+  // A long-lived owner schedules 10k short timers over time, two pending at
+  // once: the list must not keep one id per timer ever scheduled.
+  for (int i = 0; i < 10000; ++i) {
+    timers.Add(sim, sim.ScheduleAfter(Millis(2), [&fired] { ++fired; }));
+    sim.RunFor(Millis(1));
+  }
+  EXPECT_LE(timers.size(), 128u);
+  // One long timer survives every prune and is still cancelled at the end.
+  TimerId long_lived = sim.ScheduleAfter(Seconds(100), [&fired] { ++fired; });
+  timers.Add(sim, long_lived);
+  for (int i = 0; i < 1000; ++i) {
+    timers.Add(sim, sim.ScheduleAfter(Millis(2), [&fired] { ++fired; }));
+    sim.RunFor(Millis(1));
+  }
+  EXPECT_TRUE(sim.IsPending(long_lived));
+  int before = fired;
+  timers.CancelAll(&sim);
+  EXPECT_EQ(timers.size(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(fired, before);
+}
+
 TEST(PeriodicTaskTest, FiresRepeatedly) {
   Simulation sim;
   int count = 0;
