@@ -3,18 +3,28 @@
 // in-network aggregation". The tree bounds the origin's fan-in: partials
 // combine along the dissemination tree, so origin inbound messages should
 // stay far below N, while the direct strategy scales linearly with N.
+//
+// Self-check (exit code): both strategies count every node at every size,
+// and at 256 nodes the tree's origin fan-in is below the direct strategy's.
+// `--json[=path]` merges the 256-node figures into the perf trajectory.
 
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/bench_json.h"
 #include "core/network.h"
-#include "planner/planner.h"
+#include "query/plan.h"
 #include "workload/workloads.h"
 
 namespace pier {
 namespace {
 
-void RunOne(size_t n, query::AggStrategy strategy) {
+struct RunResult {
+  int64_t counted_nodes = 0;
+  uint64_t origin_msgs = 0;
+};
+
+RunResult RunOne(size_t n, query::AggStrategy strategy) {
   core::PierNetworkOptions opts;
   opts.seed = 808 + n;  // same data per size across strategies
   opts.node.router_kind = core::RouterKind::kChord;
@@ -34,13 +44,10 @@ void RunOne(size_t n, query::AggStrategy strategy) {
   net.RunFor(Seconds(30));
 
   query::QueryPlan plan;
-  plan.kind = query::PlanKind::kAggregate;
-  plan.table = "node_stats";
-  plan.scan_schema = workload::NodeStatsTable().schema;
-  plan.group_cols = {};
-  plan.aggs = {{exec::AggFunc::kSum, 1, "kbps"},
-               {exec::AggFunc::kCount, -1, "nodes"}};
-  plan.agg_strategy = strategy;
+  plan.graph = query::AggregateGraph(
+      "node_stats", workload::NodeStatsTable().schema, /*group_cols=*/{},
+      {{exec::AggFunc::kSum, 1, "kbps"}, {exec::AggFunc::kCount, -1, "nodes"}},
+      strategy);
 
   TimePoint t0 = net.sim()->now();
   TimePoint t_done = 0;
@@ -50,7 +57,7 @@ void RunOne(size_t n, query::AggStrategy strategy) {
         t_done = net.sim()->now();
         if (!b.rows.empty()) counted_nodes = b.rows[0][1].int64_value();
       });
-  if (!r.ok()) return;
+  if (!r.ok()) return {};
   net.RunFor(Seconds(25));
   traffic.Stop();
 
@@ -63,22 +70,53 @@ void RunOne(size_t n, query::AggStrategy strategy) {
               n, query::AggStrategyName(strategy), counted_nodes,
               origin_stats.partial_msgs_received, total_partials,
               ToSecondsF(t_done - t0));
+  return {counted_nodes, origin_stats.partial_msgs_received};
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
+int main(int argc, char** argv) {
+  using pier::query::AggStrategy;
+  pier::bench::JsonOptions json = pier::bench::ParseJsonFlag(argc, argv);
+  pier::bench::JsonReport report("bench_aggregation_tree");
+
   std::printf("== Ablation C: flat vs. in-network tree aggregation ==\n");
   std::printf("query: SELECT SUM(out_kbps), COUNT(*) FROM node_stats "
               "(every node holds + contributes data)\n\n");
   std::printf("%6s %-8s %10s %12s %14s %9s\n", "nodes", "strategy",
               "rows.seen", "origin.msgs", "total.partials", "time.s");
+  bool counted_all = true;
+  pier::RunResult direct, tree;
   for (size_t n : {32, 64, 128, 256}) {
-    pier::RunOne(n, pier::query::AggStrategy::kDirect);
-    pier::RunOne(n, pier::query::AggStrategy::kTree);
+    direct = pier::RunOne(n, AggStrategy::kDirect);
+    tree = pier::RunOne(n, AggStrategy::kTree);
+    counted_all = counted_all &&
+                  direct.counted_nodes == static_cast<int64_t>(n) &&
+                  tree.counted_nodes == static_cast<int64_t>(n);
   }
   std::printf("\nexpected shape: direct origin.msgs ~= nodes; tree "
               "origin.msgs bounded by tree fan-in (<< nodes at scale)\n");
+  report.Metric("direct_origin_msgs_256",
+                static_cast<double>(direct.origin_msgs), "msgs");
+  report.Metric("tree_origin_msgs_256", static_cast<double>(tree.origin_msgs),
+                "msgs");
+  if (json.enabled && !report.WriteMerged(json.path)) {
+    std::fprintf(stderr, "failed to write %s\n", json.path.c_str());
+    return 1;
+  }
+  if (!counted_all) {
+    std::printf("FAIL: a strategy missed nodes (rows.seen != nodes)\n");
+    return 1;
+  }
+  if (tree.origin_msgs >= direct.origin_msgs) {
+    std::printf("FAIL: tree origin.msgs %" PRIu64 " not below direct %" PRIu64
+                " at 256 nodes\n",
+                tree.origin_msgs, direct.origin_msgs);
+    return 1;
+  }
+  std::printf("OK: every node counted; tree origin fan-in %" PRIu64
+              " vs direct %" PRIu64 " at 256 nodes\n",
+              tree.origin_msgs, direct.origin_msgs);
   return 0;
 }

@@ -3,12 +3,17 @@
 // UCB/CSD-04-1301). Computes the transitive closure of a distributed link
 // table and compares against an exact in-memory closure, sweeping graph
 // size. Reports expansion traffic and time-to-fixpoint.
+//
+// Self-check (exit code): at every size the reported closure equals the
+// exact one (reported == correct == exact). `--json[=path]` merges the
+// largest size's figures into the perf trajectory.
 
 #include <cinttypes>
 #include <cstdio>
 #include <queue>
 #include <set>
 
+#include "common/bench_json.h"
 #include "core/network.h"
 #include "query/plan.h"
 #include "workload/workloads.h"
@@ -48,7 +53,13 @@ std::set<std::pair<std::string, std::string>> ExactClosure(
   return closure;
 }
 
-void RunSize(size_t vertices) {
+struct SizeResult {
+  bool exact = false;  ///< reported == correct == exact
+  uint64_t expansions = 0;
+  double seconds = 0;
+};
+
+SizeResult RunSize(size_t vertices) {
   const size_t kNodes = 32;
   const int kMaxHops = 12;
   core::PierNetworkOptions opts;
@@ -68,12 +79,8 @@ void RunSize(size_t vertices) {
   auto exact = ExactClosure(edges, kMaxHops);
 
   query::QueryPlan plan;
-  plan.kind = query::PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = workload::LinksTable().schema;
-  plan.src_col = 0;
-  plan.dst_col = 1;
-  plan.max_hops = kMaxHops;
+  plan.graph = query::RecursiveGraph("links", workload::LinksTable().schema,
+                                     /*src_col=*/0, /*dst_col=*/1, kMaxHops);
 
   TimePoint t0 = net.sim()->now();
   TimePoint t_done = 0;
@@ -89,7 +96,7 @@ void RunSize(size_t vertices) {
       });
   if (!r.ok()) {
     std::printf("query failed: %s\n", r.status().ToString().c_str());
-    return;
+    return {};
   }
   net.RunFor(Seconds(280));
 
@@ -103,19 +110,42 @@ void RunSize(size_t vertices) {
   std::printf("%8zu %6zu %9zu %9zu %9zu %10" PRIu64 " %9" PRIu64 " %8.1f\n",
               vertices, edges.size(), exact.size(), got.size(), correct,
               expansions, duplicates, ToSecondsF(t_done - t0));
+  return {got.size() == exact.size() && correct == exact.size(), expansions,
+          ToSecondsF(t_done - t0)};
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
+int main(int argc, char** argv) {
+  pier::bench::JsonOptions json = pier::bench::ParseJsonFlag(argc, argv);
+  pier::bench::JsonReport report("bench_recursive");
+
   std::printf("== Ablation F: recursive transitive closure (topology "
               "mapping) ==\n\n");
   std::printf("%8s %6s %9s %9s %9s %10s %9s %8s\n", "vertices", "edges",
               "exact", "reported", "correct", "expansions", "dup.cut",
               "time.s");
-  for (size_t v : {8, 16, 32, 48}) pier::RunSize(v);
+  bool all_exact = true;
+  pier::SizeResult last;
+  for (size_t v : {8, 16, 32, 48}) {
+    last = pier::RunSize(v);
+    all_exact = all_exact && last.exact;
+  }
   std::printf("\nexpected shape: reported == exact (semi-naive evaluation "
               "reaches fixpoint); duplicates grow with cycle density\n");
+  report.Metric("expansions_48v", static_cast<double>(last.expansions),
+                "count");
+  report.Metric("fixpoint_48v_s", last.seconds, "s");
+  if (json.enabled && !report.WriteMerged(json.path)) {
+    std::fprintf(stderr, "failed to write %s\n", json.path.c_str());
+    return 1;
+  }
+  if (!all_exact) {
+    std::printf("FAIL: a closure was incomplete or wrong "
+                "(reported/correct != exact)\n");
+    return 1;
+  }
+  std::printf("OK: every closure exact\n");
   return 0;
 }

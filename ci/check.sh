@@ -15,7 +15,8 @@
 #   --no-perf    Skip the perf-smoke step (bench_sim_core + bench_table1 +
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
-#                bench_join_strategies + bench_dissemination with --json,
+#                bench_join_strategies + bench_dissemination +
+#                bench_recursive + bench_aggregation_tree with --json,
 #                merged into BENCH_PR10.json). The smoke fails only on a
 #                bench self-check mismatch (all deterministic), the vectorized
 #                bench's >=5x speedup gate, or the join-strategy bench's
@@ -138,6 +139,12 @@ if [[ $PERF -eq 1 ]]; then
   # 256 nodes (the dedupe table under load). Gates on every broadcast
   # reaching every node; deliveries per wall-second are recorded only.
   "$BUILD_DIR/bench_dissemination" --json=BENCH_PR10.json | tail -4
+  # The algebraic-API shapes the oracle does not score. Recursion gates on
+  # every transitive closure (8..48 vertices) matching the exact one;
+  # aggregation gates on both strategies counting every node at every size
+  # and on the tree cutting the origin's fan-in below direct at 256 nodes.
+  "$BUILD_DIR/bench_recursive" --json=BENCH_PR10.json | tail -2
+  "$BUILD_DIR/bench_aggregation_tree" --json=BENCH_PR10.json | tail -2
 fi
 
 echo "== OK =="

@@ -1,6 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "planner/join_cost.h"
 
@@ -13,7 +14,9 @@ using catalog::Schema;
 using exec::AggSpec;
 using exec::Expr;
 using exec::ExprPtr;
-using query::PlanKind;
+using query::OpGraph;
+using query::OpNode;
+using query::OpType;
 using query::QueryPlan;
 using sql::AstExpr;
 using sql::AstExprPtr;
@@ -133,7 +136,6 @@ struct AggAnalysis {
   std::vector<std::string> group_names;  // as written in GROUP BY
   std::vector<AggSpec> aggs;
   std::vector<int> final_projection;     // select-order over [group|aggs]
-  std::vector<std::string> output_names;
 };
 
 /// Finds (or appends) an aggregate spec matching fn over column `col`.
@@ -226,8 +228,9 @@ Status BindOverAggLayout(const AstExprPtr& ast, const Schema& input,
   }
 }
 
+/// Binds an aggregating SELECT into the tail's final-agg and collect nodes.
 Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
-                       QueryPlan* plan) {
+                       OpNode* final_agg, OpNode* collect) {
   AggAnalysis a;
   for (const std::string& g : stmt.group_by) {
     int index = -1;
@@ -252,7 +255,6 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
       int agg_index = FindOrAddAgg(&a, item.expr->agg, col, name);
       a.final_projection.push_back(
           static_cast<int>(a.group_cols.size()) + agg_index);
-      a.output_names.push_back(name);
       continue;
     }
     if (item.expr->kind == AstExpr::Kind::kColumn) {
@@ -262,8 +264,6 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
       for (size_t g = 0; g < a.group_cols.size(); ++g) {
         if (a.group_cols[g] == input_index) {
           a.final_projection.push_back(static_cast<int>(g));
-          a.output_names.push_back(
-              item.alias.empty() ? item.expr->column : item.alias);
           found = true;
           break;
         }
@@ -280,7 +280,7 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
   }
   if (stmt.having != nullptr) {
     PIER_RETURN_IF_ERROR(
-        BindOverAggLayout(stmt.having, input, &a, &plan->having));
+        BindOverAggLayout(stmt.having, input, &a, &final_agg->having));
   }
   // ORDER BY: an alias of a select item, a group column, or an agg call.
   if (stmt.order_by != nullptr) {
@@ -308,32 +308,27 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
       return Status::NotSupported(
           "ORDER BY must reference a SELECT item in aggregate queries");
     }
-    plan->order_col = order;
-    plan->order_desc = stmt.order_desc;
+    collect->order_col = order;
+    collect->order_desc = stmt.order_desc;
   }
-  plan->group_cols = std::move(a.group_cols);
-  plan->aggs = std::move(a.aggs);
-  plan->final_projection = std::move(a.final_projection);
-  plan->output_names = std::move(a.output_names);
+  final_agg->group_cols = std::move(a.group_cols);
+  final_agg->aggs = std::move(a.aggs);
+  collect->final_projection = std::move(a.final_projection);
   return Status::OK();
 }
 
+/// Binds a plain SELECT list into the tail's project and collect nodes
+/// (SELECT * leaves the projection empty: the identity).
 Status PlanSelectItems(const SelectStmt& stmt, const Schema& schema,
-                       QueryPlan* plan) {
-  if (stmt.select_star) {
-    // Identity projection.
-    for (size_t i = 0; i < schema.num_columns(); ++i) {
-      plan->output_names.push_back(schema.column(i).name);
-    }
-  } else {
+                       OpNode* project, OpNode* collect) {
+  if (!stmt.select_star) {
     for (const sql::SelectItem& item : stmt.items) {
       ExprPtr bound;
       PIER_RETURN_IF_ERROR(BindScalar(item.expr, schema, &bound));
-      plan->projections.push_back(bound);
-      plan->output_names.push_back(
-          item.alias.empty() ? item.expr->ToString() : item.alias);
+      project->exprs.push_back(bound);
     }
   }
+  collect->distinct = stmt.distinct;
   if (stmt.order_by != nullptr) {
     // Resolve against the output: alias, structural match, or (for SELECT *)
     // a schema column.
@@ -362,22 +357,50 @@ Status PlanSelectItems(const SelectStmt& stmt, const Schema& schema,
     if (order < 0) {
       return Status::NotSupported("cannot resolve ORDER BY expression");
     }
-    plan->order_col = order;
-    plan->order_desc = stmt.order_desc;
+    collect->order_col = order;
+    collect->order_desc = stmt.order_desc;
   }
   return Status::OK();
 }
 
-/// Plans FROM lists of three or more relations as a left-deep chain of
-/// binary symmetric-hash joins, emitted directly as a composed opgraph:
-/// scans rehash into the first join, each join's output rehashes into the
-/// next on the following join key, and — when aggregating — a partial-agg
-/// stage runs at the final join's rendezvous nodes so aggregation happens
-/// in-network (kTree combines partials up the dissemination tree).
-Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
-                                   const catalog::Catalog& catalog,
-                                   const PlannerOptions& options) {
+bool HasAggregation(const SelectStmt& stmt) {
+  bool has_agg = !stmt.group_by.empty();
+  for (const sql::SelectItem& item : stmt.items) {
+    has_agg = has_agg || ContainsAgg(item.expr);
+  }
+  return has_agg;
+}
+
+/// Binds the SELECT list over `input` into the origin-bound tail's nodes
+/// (see query::AppendTail): `shape` becomes the final-agg node of an
+/// aggregating query, else the projection; `collect` the origin sink.
+Status BindTail(const SelectStmt& stmt, const Schema& input, OpNode* shape,
+                OpNode* collect) {
+  *collect = query::CollectOp();
+  collect->limit = stmt.limit;
+  if (HasAggregation(stmt)) {
+    *shape = query::FinalAggOp({}, {});
+    return PlanAggregation(stmt, input, shape, collect);
+  }
+  *shape = query::ProjectOp({});
+  return PlanSelectItems(stmt, input, shape, collect);
+}
+
+/// Plans FROM lists of two or more relations as a left-deep chain of
+/// binary equi-joins: scans rehash into the first join, each join's output
+/// rehashes into the next on the following join key, and the final join
+/// feeds the origin-bound tail.
+///
+/// A binary join picks its strategy (fetch-matches when the inner relation
+/// is partitioned on the key, else the caller's, else the cost model's) and
+/// aggregates the joined rows at the origin. Longer chains stay symmetric
+/// hash past the first edge and aggregate in-network: a partial-agg stage
+/// runs at the final join's rendezvous nodes, combined per AggStrategy.
+Result<QueryPlan> PlanJoin(const SelectStmt& stmt,
+                           const catalog::Catalog& catalog,
+                           const PlannerOptions& options) {
   const size_t n = stmt.from.size();
+  const bool binary = n == 2;
   // n scans + (n-1) joins + filter/agg/collect tail must fit the opgraph
   // wire cap (64 nodes); reject well-formed-but-oversized SQL here with a
   // planner error instead of a corruption status at Execute.
@@ -449,18 +472,14 @@ Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
     }
     if (!attached) {
       return Status::NotSupported(
-          "every FROM relation must connect to the join via an equality "
-          "predicate (cross products are not distributed)");
+          binary ? "joins require at least one equality predicate between "
+                   "the two relations"
+                 : "every FROM relation must connect to the join via an "
+                   "equality predicate (cross products are not distributed)");
     }
   }
 
   QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.table = defs[0]->name;
-  plan.scan_schema = schemas[0];
-  plan.join_strategy = query::JoinStrategy::kSymmetricHash;
-  plan.distinct = stmt.distinct;
-  plan.limit = stmt.limit;
   plan.every = Seconds(stmt.every_seconds);
   plan.window = Seconds(stmt.window_seconds);
 
@@ -469,29 +488,17 @@ Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     if (!used[ci]) residual.push_back(conjuncts[ci]);
   }
+  ExprPtr where;
   AstExprPtr residual_ast = AndAll(residual);
   if (residual_ast != nullptr) {
-    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, layout, &plan.where));
+    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, layout, &where));
   }
 
-  bool has_agg = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    has_agg = has_agg || ContainsAgg(item.expr);
-  }
-  if (has_agg) {
-    plan.agg_strategy = options.agg_strategy;
-    PIER_RETURN_IF_ERROR(PlanAggregation(stmt, layout, &plan));
-  } else {
-    PIER_RETURN_IF_ERROR(PlanSelectItems(stmt, layout, &plan));
-  }
-
-  // -- emit the composed opgraph --------------------------------------------
-  query::OpGraph g;
+  // Scans rehash into the first join; each join's output rehashes into the
+  // next; the final join feeds the post-join tail locally.
+  OpGraph& g = plan.graph;
   auto add_scan = [&](size_t t) {
-    query::OpNode s;
-    s.type = query::OpType::kScan;
-    s.table = defs[t]->name;
-    s.schema = schemas[t];
+    OpNode s = query::ScanOp(defs[t]->name, schemas[t]);
     s.out = query::ExchangeKind::kRehash;
     g.nodes.push_back(std::move(s));
     return static_cast<uint32_t>(g.nodes.size()) - 1;
@@ -499,89 +506,44 @@ Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
   uint32_t upstream = add_scan(0);
   for (size_t k = 0; k < steps.size(); ++k) {
     uint32_t right = add_scan(steps[k].table);
-    query::OpNode j;
-    j.type = query::OpType::kJoin;
-    j.strategy = query::JoinStrategy::kSymmetricHash;
+    OpNode j = query::JoinOp(query::JoinStrategy::kSymmetricHash,
+                             steps[k].left_keys, steps[k].right_keys);
     // Per-edge strategy selection. Only the first edge joins two base-table
     // scans; later edges consume a prior join's rehash output, whose
     // tuples exist nowhere until that join runs — semi/Bloom pre-filtering
     // has no scan to suppress, so those edges stay symmetric hash.
-    if (k == 0 && options.join_strategy ==
-                      query::JoinStrategy::kSymmetricHash) {
+    const catalog::TableDef& inner = *defs[steps[k].table];
+    if (binary && options.prefer_fetch_matches &&
+        inner.partition_cols == j.right_keys) {
+      // Partitioning alignment beats any cardinality argument:
+      // fetch-matches ships zero tuples for the inner relation.
+      j.strategy = query::JoinStrategy::kFetchMatches;
+    } else if (k == 0 && options.join_strategy ==
+                             query::JoinStrategy::kSymmetricHash) {
+      // The caller left the strategy at its default, so the planner owns
+      // the choice: consult table statistics and pick the cheapest
+      // shipping strategy for this edge. Without stats this is a no-op.
       JoinCostInputs ci;
       ci.left = &defs[0]->stats;
-      ci.right = &defs[steps[k].table]->stats;
-      ci.left_key_cols = steps[k].left_keys;
-      ci.right_key_cols = steps[k].right_keys;
+      ci.right = &inner.stats;
+      ci.left_key_cols = j.left_keys;
+      ci.right_key_cols = j.right_keys;
       j.strategy = ChooseJoinStrategy(ci).strategy;
-      plan.join_strategy = j.strategy;
+    } else if (binary) {
+      j.strategy = options.join_strategy;  // a directive, not a hint
     }
-    j.left_keys = steps[k].left_keys;
-    j.right_keys = steps[k].right_keys;
     j.inputs = {upstream, right};
-    // Intermediate joins rehash into the next join; the final join feeds
-    // the local post-join pipeline.
     j.out = k + 1 < steps.size() ? query::ExchangeKind::kRehash
                                  : query::ExchangeKind::kLocal;
     g.nodes.push_back(std::move(j));
     upstream = static_cast<uint32_t>(g.nodes.size()) - 1;
   }
-  auto chain = [&](query::OpNode node) {
-    node.inputs = {static_cast<uint32_t>(g.nodes.size()) - 1};
-    g.nodes.push_back(std::move(node));
-    return static_cast<uint32_t>(g.nodes.size()) - 1;
-  };
-  if (plan.where != nullptr) {
-    query::OpNode f;
-    f.type = query::OpType::kFilter;
-    f.predicate = plan.where;
-    chain(std::move(f));
-  }
-  query::OpNode collect;
-  collect.type = query::OpType::kCollect;
-  collect.order_col = plan.order_col;
-  collect.order_desc = plan.order_desc;
-  collect.limit = plan.limit;
-  if (has_agg) {
-    // In-network aggregation over the join output: partial-aggregate at
-    // the rendezvous nodes, combine per AggStrategy, finalize at origin.
-    query::OpNode pa;
-    pa.type = query::OpType::kPartialAgg;
-    pa.group_cols = plan.group_cols;
-    pa.aggs = plan.aggs;
-    pa.out = plan.agg_strategy == query::AggStrategy::kTree
-                 ? query::ExchangeKind::kTree
-                 : query::ExchangeKind::kToOrigin;
-    chain(std::move(pa));
-    query::OpNode fa;
-    fa.type = query::OpType::kFinalAgg;
-    fa.group_cols = plan.group_cols;
-    fa.aggs = plan.aggs;
-    fa.having = plan.having;
-    chain(std::move(fa));
-    collect.final_projection = plan.final_projection;
-  } else {
-    if (!plan.projections.empty()) {
-      query::OpNode pr;
-      pr.type = query::OpType::kProject;
-      pr.exprs = plan.projections;
-      chain(std::move(pr));
-    }
-    g.nodes.back().out = query::ExchangeKind::kToOrigin;
-    collect.distinct = plan.distinct;
-  }
-  chain(std::move(collect));
-  plan.graph = std::move(g);
-  // Composed plans execute (and ship) the graph only: drop the classic
-  // expression/aggregate fields the graph nodes now carry so the broadcast
-  // doesn't pay for them twice. Scalars the runtime reads off the plan
-  // (every/window/limit) and client-facing output_names stay.
-  plan.where.reset();
-  plan.projections.clear();
-  plan.group_cols.clear();
-  plan.aggs.clear();
-  plan.having.reset();
-  plan.final_projection.clear();
+  OpNode shape, collect;
+  PIER_RETURN_IF_ERROR(BindTail(stmt, layout, &shape, &collect));
+  std::optional<query::AggStrategy> partial;
+  if (!binary) partial = options.agg_strategy;
+  query::AppendTail(&g, std::move(where), std::move(shape),
+                    std::move(collect), partial);
   return plan;
 }
 
@@ -673,199 +635,63 @@ IndexChoice ChooseIndex(const sql::SelectStmt& stmt,
   return best;
 }
 
-/// Rewrites a planned single-table query into its index-scan opgraph:
-///   index-scan -> filter(full WHERE) [-> project] -> origin tail.
-/// The graph executes entirely at the origin (plus the trie owners the
-/// cursor contacts) — EXPLAIN shows the chosen access path.
-void EmitIndexGraph(const catalog::TableDef& def, const Schema& schema,
-                    const IndexChoice& choice, bool has_agg,
-                    QueryPlan* plan) {
-  query::OpGraph g;
-  query::OpNode scan;
-  scan.type = query::OpType::kIndexScan;
+/// The PHT index-scan access path: the cursor gathers the in-range rows at
+/// the origin, and the full WHERE re-applies after it — the encoded range is
+/// a superset (string truncation, double bounds), and WHERE may carry
+/// conjuncts the index never saw.
+OpNode IndexScanOp(const catalog::TableDef& def, const Schema& schema,
+                   const IndexChoice& choice) {
+  OpNode scan;
+  scan.type = OpType::kIndexScan;
   scan.table = def.name;
   scan.schema = schema;
   scan.index_col = choice.col;
   scan.index_lo = choice.lo;
   scan.index_hi = choice.hi;
-  g.nodes.push_back(std::move(scan));
-  auto chain = [&](query::OpNode node) {
-    node.inputs = {static_cast<uint32_t>(g.nodes.size()) - 1};
-    g.nodes.push_back(std::move(node));
-  };
-  // The full predicate re-applies after the cursor: the encoded range is a
-  // superset (string truncation, double bounds), and WHERE may carry
-  // conjuncts the index never saw.
-  query::OpNode f;
-  f.type = query::OpType::kFilter;
-  f.predicate = plan->where;
-  chain(std::move(f));
-
-  query::OpNode collect;
-  collect.type = query::OpType::kCollect;
-  collect.order_col = plan->order_col;
-  collect.order_desc = plan->order_desc;
-  collect.limit = plan->limit;
-  if (has_agg) {
-    // Raw in-range rows aggregate completely at the origin (the cursor
-    // already gathered them; a partial-agg layer would add nothing).
-    g.nodes.back().out = query::ExchangeKind::kToOrigin;
-    query::OpNode fa;
-    fa.type = query::OpType::kFinalAgg;
-    fa.group_cols = plan->group_cols;
-    fa.aggs = plan->aggs;
-    fa.having = plan->having;
-    chain(std::move(fa));
-    collect.final_projection = plan->final_projection;
-  } else {
-    if (!plan->projections.empty()) {
-      query::OpNode pr;
-      pr.type = query::OpType::kProject;
-      pr.exprs = plan->projections;
-      chain(std::move(pr));
-    }
-    g.nodes.back().out = query::ExchangeKind::kToOrigin;
-    collect.distinct = plan->distinct;
-  }
-  chain(std::move(collect));
-  plan->graph = std::move(g);
-  // Composed plans ship (and execute) the graph only; see PlanMultiwayJoin.
-  plan->where.reset();
-  plan->projections.clear();
-  plan->group_cols.clear();
-  plan->aggs.clear();
-  plan->having.reset();
-  plan->final_projection.clear();
+  return scan;
 }
 
 Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
                              const catalog::Catalog& catalog,
                              const PlannerOptions& options) {
-  QueryPlan plan;
-  plan.distinct = stmt.distinct;
-  plan.limit = stmt.limit;
-  plan.every = Seconds(stmt.every_seconds);
-  plan.window = Seconds(stmt.window_seconds);
-
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM must name at least one relation");
   }
-  if (stmt.from.size() > 2) {
-    return PlanMultiwayJoin(stmt, catalog, options);
-  }
+  if (stmt.from.size() > 1) return PlanJoin(stmt, catalog, options);
+  QueryPlan plan;
+  plan.every = Seconds(stmt.every_seconds);
+  plan.window = Seconds(stmt.window_seconds);
   const catalog::TableDef* left_def = catalog.Find(stmt.from[0].table);
   if (left_def == nullptr) {
     return Status::NotFound("unknown table: " + stmt.from[0].table);
   }
   Schema left_schema = AliasSchema(*left_def, stmt.from[0].alias);
 
-  bool has_agg = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    has_agg = has_agg || ContainsAgg(item.expr);
+  ExprPtr where;
+  if (stmt.where != nullptr) {
+    PIER_RETURN_IF_ERROR(BindScalar(stmt.where, left_schema, &where));
   }
-
-  if (stmt.from.size() == 1) {
-    plan.table = left_def->name;
-    plan.scan_schema = left_schema;
-    if (stmt.where != nullptr) {
-      PIER_RETURN_IF_ERROR(BindScalar(stmt.where, left_schema, &plan.where));
-    }
-    if (has_agg) {
-      plan.kind = PlanKind::kAggregate;
-      plan.agg_strategy = options.agg_strategy;
-      PIER_RETURN_IF_ERROR(PlanAggregation(stmt, left_schema, &plan));
-    } else {
-      plan.kind = PlanKind::kSelectProject;
-      PIER_RETURN_IF_ERROR(PlanSelectItems(stmt, left_schema, &plan));
-    }
-    // Access-path selection: a WHERE that pins an indexed attribute to a
-    // range turns the broadcast scan into a PHT index scan. Windowed
-    // continuous queries keep scanning — index entries carry their own
-    // arrival times, not the base copies', so window semantics differ.
-    if (options.use_index && plan.where != nullptr && plan.window == 0) {
-      IndexChoice choice = ChooseIndex(stmt, *left_def, left_schema);
-      if (choice.bound_count > 0) {
-        EmitIndexGraph(*left_def, left_schema, choice, has_agg, &plan);
-      }
-    }
-    return plan;
+  // Access-path selection: a WHERE that pins an indexed attribute to a
+  // range turns the broadcast scan into a PHT index scan, which runs
+  // entirely at the origin (plus the trie owners the cursor contacts):
+  // aggregation finalizes there with no partial-agg layer. Windowed
+  // continuous queries keep scanning — index entries carry their own
+  // arrival times, not the base copies', so window semantics differ.
+  IndexChoice choice;
+  if (options.use_index && where != nullptr && plan.window == 0) {
+    choice = ChooseIndex(stmt, *left_def, left_schema);
   }
-
-  // -- join ------------------------------------------------------------------
-  const catalog::TableDef* right_def = catalog.Find(stmt.from[1].table);
-  if (right_def == nullptr) {
-    return Status::NotFound("unknown table: " + stmt.from[1].table);
-  }
-  Schema right_schema = AliasSchema(*right_def, stmt.from[1].alias);
-  Schema concat = Schema::Concat(left_schema, right_schema);
-
-  plan.kind = PlanKind::kJoin;
-  plan.table = left_def->name;
-  plan.scan_schema = left_schema;
-  plan.right_table = right_def->name;
-  plan.right_schema = right_schema;
-
-  // Collect conjuncts from ON and WHERE; extract equi-join keys.
-  std::vector<AstExprPtr> conjuncts;
-  Conjuncts(stmt.join_on, &conjuncts);
-  Conjuncts(stmt.where, &conjuncts);
-  std::vector<AstExprPtr> residual;
-  size_t left_width = left_schema.num_columns();
-  for (const AstExprPtr& c : conjuncts) {
-    bool is_key = false;
-    if (c->kind == AstExpr::Kind::kCompare &&
-        c->cmp == exec::CompareOp::kEq) {
-      int a = ColumnIndexIn(c->left, concat);
-      int b = ColumnIndexIn(c->right, concat);
-      if (a >= 0 && b >= 0) {
-        bool a_left = static_cast<size_t>(a) < left_width;
-        bool b_left = static_cast<size_t>(b) < left_width;
-        if (a_left != b_left) {
-          int l = a_left ? a : b;
-          int r = a_left ? b : a;
-          plan.left_key_cols.push_back(l);
-          plan.right_key_cols.push_back(r -
-                                        static_cast<int>(left_width));
-          is_key = true;
-        }
-      }
-    }
-    if (!is_key) residual.push_back(c);
-  }
-  if (plan.left_key_cols.empty()) {
-    return Status::NotSupported(
-        "joins require at least one equality predicate between the two "
-        "relations");
-  }
-  AstExprPtr residual_ast = AndAll(residual);
-  if (residual_ast != nullptr) {
-    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, concat, &plan.where));
-  }
-
-  plan.join_strategy = options.join_strategy;
-  if (options.prefer_fetch_matches &&
-      right_def->partition_cols == plan.right_key_cols) {
-    // Partitioning alignment beats any cardinality argument: fetch-matches
-    // ships zero tuples for the inner relation.
-    plan.join_strategy = query::JoinStrategy::kFetchMatches;
-  } else if (options.join_strategy == query::JoinStrategy::kSymmetricHash) {
-    // The caller left the strategy at its default, so the planner owns the
-    // choice: consult table statistics and pick the cheapest shipping
-    // strategy for this edge. Without stats this is a no-op (hash).
-    JoinCostInputs ci;
-    ci.left = &left_def->stats;
-    ci.right = &right_def->stats;
-    ci.left_key_cols = plan.left_key_cols;
-    ci.right_key_cols = plan.right_key_cols;
-    plan.join_strategy = ChooseJoinStrategy(ci).strategy;
-  }
-
-  if (has_agg) {
-    plan.agg_strategy = options.agg_strategy;
-    PIER_RETURN_IF_ERROR(PlanAggregation(stmt, concat, &plan));
+  std::optional<query::AggStrategy> partial = options.agg_strategy;
+  if (choice.bound_count > 0) {
+    plan.graph.nodes.push_back(IndexScanOp(*left_def, left_schema, choice));
+    partial.reset();
   } else {
-    PIER_RETURN_IF_ERROR(PlanSelectItems(stmt, concat, &plan));
+    plan.graph.nodes.push_back(query::ScanOp(left_def->name, left_schema));
   }
+  OpNode shape, collect;
+  PIER_RETURN_IF_ERROR(BindTail(stmt, left_schema, &shape, &collect));
+  query::AppendTail(&plan.graph, std::move(where), std::move(shape),
+                    std::move(collect), partial);
   return plan;
 }
 
@@ -903,15 +729,9 @@ Result<QueryPlan> PlanRecursive(const sql::RecursiveQuery& rq,
         "recursive step must join " + rq.name + " with " + edge_def->name);
   }
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = edge_def->name;
-  plan.scan_schema = edge_schema;
-  plan.src_col = src_col;
-  plan.dst_col = dst_col;
-  plan.max_hops = static_cast<int>(rq.max_hops);
+  ExprPtr edge_where, outer_where;
   if (rq.base.where != nullptr) {
-    PIER_RETURN_IF_ERROR(BindScalar(rq.base.where, edge_schema, &plan.where));
+    PIER_RETURN_IF_ERROR(BindScalar(rq.base.where, edge_schema, &edge_where));
   }
 
   // Outer select runs over (src, dst, hops).
@@ -922,23 +742,22 @@ Result<QueryPlan> PlanRecursive(const sql::RecursiveQuery& rq,
     return Status::NotSupported("outer select must read FROM " + rq.name);
   }
   if (rq.outer.where != nullptr) {
-    PIER_RETURN_IF_ERROR(
-        BindScalar(rq.outer.where, closure, &plan.outer_where));
+    PIER_RETURN_IF_ERROR(BindScalar(rq.outer.where, closure, &outer_where));
   }
+  std::vector<ExprPtr> projections;
   if (!rq.outer.select_star) {
     for (const sql::SelectItem& item : rq.outer.items) {
       ExprPtr bound;
       PIER_RETURN_IF_ERROR(BindScalar(item.expr, closure, &bound));
-      plan.projections.push_back(bound);
-      plan.output_names.push_back(
-          item.alias.empty() ? item.expr->ToString() : item.alias);
-    }
-  } else {
-    for (size_t i = 0; i < closure.num_columns(); ++i) {
-      plan.output_names.push_back(closure.column(i).name);
+      projections.push_back(bound);
     }
   }
-  plan.limit = rq.outer.limit;
+  QueryPlan plan;
+  plan.graph = query::RecursiveGraph(
+      edge_def->name, edge_schema, src_col, dst_col,
+      static_cast<int>(rq.max_hops), std::move(edge_where),
+      std::move(outer_where), std::move(projections));
+  plan.graph.nodes.back().limit = rq.outer.limit;
   return plan;
 }
 
@@ -964,7 +783,6 @@ Result<uint64_t> ExecuteSql(query::QueryEngine* engine, const std::string& sql,
   if (stmt.explain) {
     // EXPLAIN answers locally: the planned opgraph's rendering as a
     // one-row result. Nothing is disseminated; the id 0 marks "no query".
-    plan.EnsureGraph();
     query::ResultBatch batch;
     batch.rows.push_back({Value::String(plan.graph.ToString())});
     if (cb) cb(batch);

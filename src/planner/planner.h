@@ -1,10 +1,10 @@
 // Planner: binds a parsed SQL statement against the catalog and produces the
-// distributed QueryPlan (and its opgraph) the engine disseminates.
+// distributed QueryPlan — its opgraph — the engine disseminates.
 //
 // Responsibilities: name resolution (aliases, qualified columns), equi-join
-// key extraction from WHERE / ON conjuncts, join-order selection for 3+
-// relation FROM lists (left-deep symmetric-hash chains emitted as composed
-// opgraphs, with group-by pushed to the join rendezvous per AggStrategy),
+// key extraction from WHERE / ON conjuncts, join-order selection (left-deep
+// chains; for 3+ relations the group-by is pushed to the final join's
+// rendezvous per AggStrategy), access-path selection (PHT index scans),
 // aggregate analysis (partial/final split, HAVING and ORDER BY rewritten
 // over the aggregate layout), join/aggregation strategy selection, and
 // validation (e.g. fetch-matches partitioning compatibility is re-checked

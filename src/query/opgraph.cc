@@ -65,7 +65,12 @@ const char* ExchangeKindName(ExchangeKind k) {
   return "?";
 }
 
-namespace detail {
+// Wire caps that bound allocation on corrupt input.
+namespace {
+constexpr uint32_t kMaxNodes = 64;
+constexpr uint32_t kMaxInputs = 2;
+constexpr uint32_t kMaxExprs = 1000;
+constexpr uint32_t kMaxAggs = 1000;
 
 void PutOptionalExpr(Writer* w, const exec::ExprPtr& e) {
   w->PutBool(e != nullptr);
@@ -101,52 +106,87 @@ Status GetIntVec(Reader* r, std::vector<int>* out) {
   return Status::OK();
 }
 
-}  // namespace detail
+Status GetInt(Reader* r, int* out) {
+  int64_t x = 0;
+  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&x));
+  *out = static_cast<int>(x);
+  return Status::OK();
+}
 
-using detail::GetIntVec;
-using detail::GetOptionalExpr;
-using detail::PutIntVec;
-using detail::PutOptionalExpr;
+void PutAggs(Writer* w, const OpNode& n) {
+  PutIntVec(w, n.group_cols);
+  w->PutVarint32(static_cast<uint32_t>(n.aggs.size()));
+  for (const auto& a : n.aggs) a.Serialize(w);
+}
 
-// Wire caps that bound allocation on corrupt input.
-namespace {
-constexpr uint32_t kMaxNodes = 64;
-constexpr uint32_t kMaxInputs = 2;
-constexpr uint32_t kMaxExprs = 1000;
-constexpr uint32_t kMaxAggs = 1000;
+Status GetAggs(Reader* r, OpNode* out) {
+  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->group_cols));
+  uint32_t n = 0;
+  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
+  if (n > kMaxAggs) return Status::Corruption("too many aggs");
+  out->aggs.resize(n);
+  for (exec::AggSpec& a : out->aggs) {
+    PIER_RETURN_IF_ERROR(exec::AggSpec::Deserialize(r, &a));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
+// Each node writes its common header (type, inputs, exchange) and then only
+// its own type's field group; the other groups stay at their defaults.
 void OpNode::Serialize(Writer* w) const {
   w->PutU8(static_cast<uint8_t>(type));
   w->PutVarint32(static_cast<uint32_t>(inputs.size()));
   for (uint32_t in : inputs) w->PutVarint32(in);
   w->PutU8(static_cast<uint8_t>(out));
-  w->PutString(table);
-  schema.Serialize(w);
-  PutOptionalExpr(w, predicate);
-  w->PutVarint32(static_cast<uint32_t>(exprs.size()));
-  for (const auto& e : exprs) e->Serialize(w);
-  w->PutU8(static_cast<uint8_t>(strategy));
-  PutIntVec(w, left_keys);
-  PutIntVec(w, right_keys);
-  PutIntVec(w, group_cols);
-  w->PutVarint32(static_cast<uint32_t>(aggs.size()));
-  for (const auto& a : aggs) a.Serialize(w);
-  PutOptionalExpr(w, having);
-  w->PutVarint64Signed(src_col);
-  w->PutVarint64Signed(dst_col);
-  w->PutVarint64Signed(max_hops);
-  w->PutBool(distinct);
-  PutIntVec(w, final_projection);
-  w->PutVarint64Signed(order_col);
-  w->PutBool(order_desc);
-  w->PutVarint64Signed(limit);
-  w->PutVarint64Signed(index_col);
-  index_lo.Serialize(w);
-  index_hi.Serialize(w);
+  switch (type) {
+    case OpType::kScan:
+    case OpType::kIndexScan:
+      w->PutString(table);
+      schema.Serialize(w);
+      if (type == OpType::kScan) break;
+      w->PutVarint64Signed(index_col);
+      index_lo.Serialize(w);
+      index_hi.Serialize(w);
+      break;
+    case OpType::kFilter:
+      PutOptionalExpr(w, predicate);
+      break;
+    case OpType::kProject:
+      w->PutVarint32(static_cast<uint32_t>(exprs.size()));
+      for (const auto& e : exprs) e->Serialize(w);
+      break;
+    case OpType::kJoin:
+      w->PutU8(static_cast<uint8_t>(strategy));
+      PutIntVec(w, left_keys);
+      PutIntVec(w, right_keys);
+      break;
+    case OpType::kPartialAgg:
+      PutAggs(w, *this);
+      break;
+    case OpType::kFinalAgg:
+      PutAggs(w, *this);
+      PutOptionalExpr(w, having);
+      break;
+    case OpType::kRecurse:
+      w->PutVarint64Signed(src_col);
+      w->PutVarint64Signed(dst_col);
+      w->PutVarint64Signed(max_hops);
+      PutOptionalExpr(w, predicate);
+      break;
+    case OpType::kCollect:
+      w->PutBool(distinct);
+      PutIntVec(w, final_projection);
+      w->PutVarint64Signed(order_col);
+      w->PutBool(order_desc);
+      w->PutVarint64Signed(limit);
+      break;
+  }
 }
 
 Status OpNode::Deserialize(Reader* r, OpNode* out) {
+  *out = OpNode();
   uint8_t type = 0;
   PIER_RETURN_IF_ERROR(r->GetU8(&type));
   if (type > static_cast<uint8_t>(OpType::kIndexScan)) {
@@ -156,11 +196,9 @@ Status OpNode::Deserialize(Reader* r, OpNode* out) {
   uint32_t n = 0;
   PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
   if (n > kMaxInputs) return Status::Corruption("too many op inputs");
-  out->inputs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t in = 0;
+  out->inputs.resize(n);
+  for (uint32_t& in : out->inputs) {
     PIER_RETURN_IF_ERROR(r->GetVarint32(&in));
-    out->inputs.push_back(in);
   }
   uint8_t exch = 0;
   PIER_RETURN_IF_ERROR(r->GetU8(&exch));
@@ -168,54 +206,57 @@ Status OpNode::Deserialize(Reader* r, OpNode* out) {
     return Status::Corruption("bad exchange kind");
   }
   out->out = static_cast<ExchangeKind>(exch);
-  PIER_RETURN_IF_ERROR(r->GetString(&out->table));
-  PIER_RETURN_IF_ERROR(catalog::Schema::Deserialize(r, &out->schema));
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->predicate));
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > kMaxExprs) return Status::Corruption("too many op exprs");
-  out->exprs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    exec::ExprPtr e;
-    PIER_RETURN_IF_ERROR(exec::Expr::Deserialize(r, &e));
-    out->exprs.push_back(std::move(e));
+  switch (out->type) {
+    case OpType::kScan:
+    case OpType::kIndexScan:
+      PIER_RETURN_IF_ERROR(r->GetString(&out->table));
+      PIER_RETURN_IF_ERROR(catalog::Schema::Deserialize(r, &out->schema));
+      if (out->type == OpType::kScan) return Status::OK();
+      PIER_RETURN_IF_ERROR(GetInt(r, &out->index_col));
+      PIER_RETURN_IF_ERROR(Value::Deserialize(r, &out->index_lo));
+      return Value::Deserialize(r, &out->index_hi);
+    case OpType::kFilter:
+      return GetOptionalExpr(r, &out->predicate);
+    case OpType::kProject:
+      PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
+      if (n > kMaxExprs) return Status::Corruption("too many op exprs");
+      out->exprs.resize(n);
+      for (exec::ExprPtr& e : out->exprs) {
+        PIER_RETURN_IF_ERROR(exec::Expr::Deserialize(r, &e));
+      }
+      return Status::OK();
+    case OpType::kJoin: {
+      uint8_t strategy = 0;
+      PIER_RETURN_IF_ERROR(r->GetU8(&strategy));
+      if (strategy > static_cast<uint8_t>(JoinStrategy::kBloom)) {
+        return Status::Corruption("bad join strategy");
+      }
+      out->strategy = static_cast<JoinStrategy>(strategy);
+      PIER_RETURN_IF_ERROR(GetIntVec(r, &out->left_keys));
+      return GetIntVec(r, &out->right_keys);
+    }
+    case OpType::kPartialAgg:
+      return GetAggs(r, out);
+    case OpType::kFinalAgg:
+      PIER_RETURN_IF_ERROR(GetAggs(r, out));
+      return GetOptionalExpr(r, &out->having);
+    case OpType::kRecurse:
+      PIER_RETURN_IF_ERROR(GetInt(r, &out->src_col));
+      PIER_RETURN_IF_ERROR(GetInt(r, &out->dst_col));
+      PIER_RETURN_IF_ERROR(GetInt(r, &out->max_hops));
+      return GetOptionalExpr(r, &out->predicate);
+    case OpType::kCollect: {
+      PIER_RETURN_IF_ERROR(r->GetBool(&out->distinct));
+      PIER_RETURN_IF_ERROR(GetIntVec(r, &out->final_projection));
+      PIER_RETURN_IF_ERROR(GetInt(r, &out->order_col));
+      PIER_RETURN_IF_ERROR(r->GetBool(&out->order_desc));
+      int64_t limit = 0;
+      PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&limit));
+      out->limit = limit;
+      return Status::OK();
+    }
   }
-  uint8_t strategy = 0;
-  PIER_RETURN_IF_ERROR(r->GetU8(&strategy));
-  if (strategy > static_cast<uint8_t>(JoinStrategy::kBloom)) {
-    return Status::Corruption("bad join strategy");
-  }
-  out->strategy = static_cast<JoinStrategy>(strategy);
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->left_keys));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->right_keys));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->group_cols));
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > kMaxAggs) return Status::Corruption("too many aggs");
-  out->aggs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    exec::AggSpec a;
-    PIER_RETURN_IF_ERROR(exec::AggSpec::Deserialize(r, &a));
-    out->aggs.push_back(std::move(a));
-  }
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->having));
-  int64_t src_col = 0, dst_col = 0, max_hops = 0, order_col = 0, limit = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&src_col));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&dst_col));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&max_hops));
-  out->src_col = static_cast<int>(src_col);
-  out->dst_col = static_cast<int>(dst_col);
-  out->max_hops = static_cast<int>(max_hops);
-  PIER_RETURN_IF_ERROR(r->GetBool(&out->distinct));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->final_projection));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&order_col));
-  out->order_col = static_cast<int>(order_col);
-  PIER_RETURN_IF_ERROR(r->GetBool(&out->order_desc));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&limit));
-  out->limit = limit;
-  int64_t index_col = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&index_col));
-  out->index_col = static_cast<int>(index_col);
-  PIER_RETURN_IF_ERROR(Value::Deserialize(r, &out->index_lo));
-  return Value::Deserialize(r, &out->index_hi);
+  return Status::Corruption("bad op type");
 }
 
 std::string OpNode::ToString() const {

@@ -17,10 +17,9 @@
 // The graph is pure data: nodes carry bound expressions and column indices,
 // never live operator state. Every node of the network rebuilds an
 // identical graph from bytes and instantiates the runtime stages it is
-// responsible for (src/query/ops/). The four legacy PlanKind shapes are
-// degenerate opgraphs (see QueryPlan::CanonicalGraph in plan.h); composed
-// graphs (multi-way joins, in-network aggregation over joins) are emitted
-// by the planner.
+// responsible for (src/query/ops/). The graph IS the plan: the planner
+// composes it from SQL, and the algebraic API in query/plan.h builds the
+// canonical shapes (select/project, aggregate, binary join, recursion).
 
 #ifndef PIER_QUERY_OPGRAPH_H_
 #define PIER_QUERY_OPGRAPH_H_
@@ -86,8 +85,9 @@ enum class ExchangeKind : uint8_t {
 
 const char* ExchangeKindName(ExchangeKind k);
 
-/// One typed operator box. Field groups are meaningful per `type`; unused
-/// groups stay empty and serialize compactly.
+/// One typed operator box. Field groups are meaningful per `type`: a node
+/// serializes only its own type's group, and the others deserialize to
+/// their defaults.
 struct OpNode {
   OpType type = OpType::kScan;
   /// Upstream node ids (indices into OpGraph::nodes; strictly smaller than
@@ -172,14 +172,6 @@ struct OpGraph {
   /// inputs and output exchange.
   std::string ToString() const;
 };
-
-namespace detail {
-// Shared wire helpers (also used by plan.cc).
-void PutOptionalExpr(Writer* w, const exec::ExprPtr& e);
-Status GetOptionalExpr(Reader* r, exec::ExprPtr* out);
-void PutIntVec(Writer* w, const std::vector<int>& v);
-Status GetIntVec(Reader* r, std::vector<int>* out);
-}  // namespace detail
 
 }  // namespace query
 }  // namespace pier

@@ -26,6 +26,13 @@ void RecursiveStage::PublishReach(const Tuple& reach, bool is_expansion) {
 }
 
 void RecursiveStage::Setup() {
+  // Catch-up: reach tuples published by nodes that got the plan first may
+  // land here before the plan broadcast did; they are waiting in the
+  // exchange namespace.
+  host_->dht()->ForEachLocalReadable(ns(), [this](const dht::StoredItem& item) {
+    OnArrival(item);
+    return true;
+  });
   // Seed: every local edge is a 1-hop path.
   ScanStage scan(host_, edge_scan_, window_);
   scan.Run([&](const Tuple& e) {

@@ -1,28 +1,29 @@
 // QueryPlan: the distributed plan PIER disseminates to every node.
 //
-// The executable representation is the opgraph (query/opgraph.h): a DAG of
-// typed operator nodes wired by exchanges, interpreted by every node's
-// QueryRuntime. A plan also keeps the flat "classic" fields describing the
+// A plan is its opgraph (query/opgraph.h) — a DAG of typed operator nodes
+// wired by exchanges, interpreted by every node's QueryRuntime — plus the
+// scalars that govern the query's lifetime: the continuous period and
+// window, the deadline and the resource budget. There is no second plan
+// form: the planner emits graphs, and the algebraic API below builds the
 // four canonical shapes (select/project, aggregate, binary join,
-// recursion); plans built through the algebraic API fill only those, and
-// EnsureGraph() canonicalizes them into the equivalent degenerate opgraph
-// before execution. Planner-built plans (multi-way joins, in-network
-// aggregation over joins) carry a composed graph directly.
+// recursion) as graphs too.
 //
 // Column references inside expressions are bound to tuple layouts at
 // planning time:
-//   - `where`               -> the scan schema (full concat for joins)
-//   - `projections`         -> same layout as `where`
-//   - `having`              -> the aggregate output layout
+//   - filter / project      -> the node's input layout (full concat after
+//                              a join; (src, dst, hops) after recursion)
+//   - final-agg `having`    -> the aggregate output layout
 //                              [group values..., aggregate results...]
-//   - `order_col`           -> the final output layout
+//   - collect `order_col`   -> the final output layout
 //
-// Plans serialize; every node rebuilds an identical plan from bytes.
+// The broadcast carries the graph (each node writes only its OpType's field
+// group) followed by every/window/budget; every member rebuilds and
+// validates an identical plan from those bytes.
 
 #ifndef PIER_QUERY_PLAN_H_
 #define PIER_QUERY_PLAN_H_
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,63 +38,11 @@
 namespace pier {
 namespace query {
 
-/// The four canonical plan shapes of the algebraic API (each canonicalizes
-/// into a degenerate opgraph; composed graphs have no PlanKind).
-enum class PlanKind : uint8_t {
-  kSelectProject = 0,  ///< scan -> filter -> project, results to origin
-  kAggregate = 1,      ///< scan -> filter -> partial agg -> in-network tree
-  kJoin = 2,           ///< equi-join (binary via `kind`; n-way via graph)
-  kRecursive = 3,      ///< transitive closure over an edge table
-};
-
-const char* PlanKindName(PlanKind k);
-
 /// One distributed query. Plain data; built by the planner or directly via
 /// the algebraic API.
 struct QueryPlan {
-  PlanKind kind = PlanKind::kSelectProject;
-
-  /// The executable dataflow. Empty for algebraic-API plans until
-  /// EnsureGraph() derives it from the classic fields below.
+  /// The executable dataflow.
   OpGraph graph;
-  /// True when `graph` came from EnsureGraph(): derived graphs are NOT
-  /// serialized (the classic fields already carry everything, and every
-  /// member re-derives the identical graph at install), so legacy-shape
-  /// broadcasts don't pay twice for expressions and schemas. Composed
-  /// planner graphs always travel.
-  bool graph_is_derived = false;
-
-  // -- Source relation(s) ---------------------------------------------------
-  std::string table;            ///< left/only relation (DHT namespace)
-  catalog::Schema scan_schema;  ///< its schema (join: left schema)
-
-  // -- Row pipeline ----------------------------------------------------------
-  exec::ExprPtr where;  ///< predicate; null = accept all
-  std::vector<exec::ExprPtr> projections;  ///< empty = identity
-  std::vector<std::string> output_names;   ///< names for projections
-  bool distinct = false;
-
-  // -- Aggregation (kAggregate; or post-join aggregation at the origin) -----
-  std::vector<int> group_cols;
-  std::vector<exec::AggSpec> aggs;
-  exec::ExprPtr having;
-  AggStrategy agg_strategy = AggStrategy::kTree;
-  /// Applied at the origin after aggregation: indices into the
-  /// [group values..., aggregate results...] layout, reordering to the
-  /// SELECT-list order. Empty = identity.
-  std::vector<int> final_projection;
-
-  // -- Ordering / limiting (applied at the origin) ---------------------------
-  int order_col = -1;
-  bool order_desc = false;
-  int64_t limit = -1;
-
-  // -- Join (kJoin) -----------------------------------------------------------
-  JoinStrategy join_strategy = JoinStrategy::kSymmetricHash;
-  std::string right_table;
-  catalog::Schema right_schema;
-  std::vector<int> left_key_cols;
-  std::vector<int> right_key_cols;
 
   // -- Continuous execution ---------------------------------------------------
   Duration every = 0;   ///< 0 = one-shot; else re-evaluate per period
@@ -111,25 +60,11 @@ struct QueryPlan {
   /// enforces the same caps.
   QueryBudget budget;
 
-  // -- Recursion (kRecursive) -------------------------------------------------
-  int src_col = 0;      ///< edge source column in `scan_schema`
-  int dst_col = 1;      ///< edge destination column
-  int max_hops = 16;    ///< expansion bound
-  /// Outer predicate over the closure output layout (src, dst, hops);
-  /// `where` filters base edges instead.
-  exec::ExprPtr outer_where;
-
-  /// Builds the degenerate opgraph equivalent to the classic fields. The
-  /// four legacy shapes reproduce their historical dataflow byte-for-byte.
-  OpGraph CanonicalGraph() const;
-  /// Fills `graph` from CanonicalGraph() when empty (idempotent).
-  void EnsureGraph();
-
   void Serialize(Writer* w) const;
   static Status Deserialize(Reader* r, QueryPlan* out);
 
-  /// One-line summary ("plan{join table=... }"); the opgraph's ToString()
-  /// is the full EXPLAIN rendering.
+  /// One-line summary ("plan{scan(t) filter collect every=10s}"); the
+  /// opgraph's ToString() is the full EXPLAIN rendering.
   std::string ToString() const;
 };
 
@@ -146,6 +81,65 @@ struct PlanEnvelope {
   void Serialize(Writer* w) const;
   static Status Deserialize(Reader* r, PlanEnvelope* out);
 };
+
+// ---------------------------------------------------------------------------
+// Algebraic API: builders that return opgraph nodes and graphs
+// ---------------------------------------------------------------------------
+
+/// kScan over the DHT namespace `table`.
+OpNode ScanOp(std::string table, catalog::Schema schema);
+/// kJoin on `left_keys` x `right_keys`; inputs are wired by the caller.
+OpNode JoinOp(JoinStrategy strategy, std::vector<int> left_keys,
+              std::vector<int> right_keys);
+/// kProject; an empty list is the identity (AppendTail omits the node).
+OpNode ProjectOp(std::vector<exec::ExprPtr> exprs);
+/// kFinalAgg; `having` filters [group values..., aggregate results...].
+OpNode FinalAggOp(std::vector<int> group_cols,
+                  std::vector<exec::AggSpec> aggs,
+                  exec::ExprPtr having = nullptr);
+/// kCollect with no DISTINCT / SELECT permutation / ORDER BY / LIMIT.
+OpNode CollectOp();
+
+/// Appends the origin-bound tail every plan ends with after `g`'s last
+/// node, which yields rows:
+///   [filter(where)] -> [project]                  => origin -> collect
+///   [filter(where)] -> partial-agg => tree|origin -> final-agg -> collect
+///   [filter(where)]                               => origin -> final-agg
+///                                                           -> collect
+/// `shape` is a kProject (identity when empty) or a kFinalAgg node. For a
+/// kFinalAgg shape, `partial` adds a partial-agg stage with the same groups
+/// and aggregates where the rows are, combined per that strategy; without
+/// it the raw rows ship to the origin, which aggregates them itself.
+void AppendTail(OpGraph* g, exec::ExprPtr where, OpNode shape, OpNode collect,
+                std::optional<AggStrategy> partial = std::nullopt);
+
+/// scan -> [filter] -> [project] => origin -> collect.
+OpGraph SelectGraph(std::string table, catalog::Schema schema,
+                    exec::ExprPtr where = nullptr,
+                    std::vector<exec::ExprPtr> projections = {});
+
+/// scan -> [filter] -> partial-agg => tree|origin -> final-agg -> collect.
+OpGraph AggregateGraph(std::string table, catalog::Schema schema,
+                       std::vector<int> group_cols,
+                       std::vector<exec::AggSpec> aggs,
+                       AggStrategy strategy = AggStrategy::kTree,
+                       exec::ExprPtr where = nullptr);
+
+/// left/right scans => rehash -> join -> tail (AppendTail without a
+/// partial stage: `where` runs over the concat layout, and a kFinalAgg
+/// `shape` aggregates the joined rows at the origin).
+OpGraph JoinGraph(OpNode left_scan, OpNode right_scan, OpNode join,
+                  exec::ExprPtr where = nullptr,
+                  OpNode shape = ProjectOp({}));
+
+/// scan(edges) -> recurse => [filter] -> [project] => origin -> collect.
+/// `edge_where` filters base and expansion edges; `outer_where` and
+/// `projections` run over the closure layout (src, dst, hops).
+OpGraph RecursiveGraph(std::string table, catalog::Schema schema, int src_col,
+                       int dst_col, int max_hops,
+                       exec::ExprPtr edge_where = nullptr,
+                       exec::ExprPtr outer_where = nullptr,
+                       std::vector<exec::ExprPtr> projections = {});
 
 }  // namespace query
 }  // namespace pier

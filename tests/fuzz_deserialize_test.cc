@@ -36,22 +36,25 @@ std::string ValidTupleBytes() {
        Value::Null(), Value::Bool(true)});
 }
 
-std::string ValidPlanBytes() {
+query::QueryPlan ValidPlan() {
   query::QueryPlan plan;
-  plan.kind = query::PlanKind::kAggregate;
-  plan.table = "snort_alerts";
-  plan.scan_schema = catalog::Schema(
+  plan.graph = query::AggregateGraph(
       "snort_alerts",
-      {{"rule_id", ValueType::kInt64}, {"hits", ValueType::kInt64}});
-  plan.where = exec::Expr::Compare(exec::CompareOp::kGt,
-                                   exec::Expr::Column(1),
-                                   exec::Expr::Literal(Value::Int64(0)));
-  plan.group_cols = {0};
-  plan.aggs = {{exec::AggFunc::kSum, 1, "total"}};
-  plan.order_col = 1;
-  plan.limit = 10;
+      catalog::Schema("snort_alerts", {{"rule_id", ValueType::kInt64},
+                                       {"hits", ValueType::kInt64}}),
+      {0}, {{exec::AggFunc::kSum, 1, "total"}}, query::AggStrategy::kTree,
+      exec::Expr::Compare(exec::CompareOp::kGt, exec::Expr::Column(1),
+                          exec::Expr::Literal(Value::Int64(0))));
+  plan.graph.nodes.back().order_col = 1;
+  plan.graph.nodes.back().limit = 10;
+  plan.every = Seconds(10);
+  plan.budget.max_result_rows = 500;
+  return plan;
+}
+
+std::string ValidPlanBytes() {
   Writer w;
-  plan.Serialize(&w);
+  ValidPlan().Serialize(&w);
   return w.Release();
 }
 
@@ -152,16 +155,84 @@ TEST(FuzzDeserialize, QueryPlanGarbage) {
 }
 
 std::string ValidOpGraphBytes() {
-  // The canonical graph of the aggregate plan above, plus a composed
-  // multi-join flavor is covered by the planner tests; here the wire form.
-  std::string plan_bytes = ValidPlanBytes();
-  Reader r(plan_bytes);
-  query::QueryPlan plan;
-  EXPECT_TRUE(query::QueryPlan::Deserialize(&r, &plan).ok());
-  query::OpGraph g = plan.CanonicalGraph();
+  query::OpGraph g = ValidPlan().graph;
   EXPECT_TRUE(g.Validate().ok());
   Writer w;
   g.Serialize(&w);
+  return w.Release();
+}
+
+/// A structurally valid graph with one node of each of the nine OpTypes,
+/// every node's own field group holding non-default values (the dataflow
+/// is nonsense; only the wire form matters here).
+query::OpGraph AllOpTypesGraph() {
+  using exec::Expr;
+  catalog::Schema schema(
+      "metrics", {{"host", ValueType::kString}, {"v", ValueType::kInt64}});
+  query::OpGraph g;
+  query::OpNode index_scan;
+  index_scan.type = query::OpType::kIndexScan;
+  index_scan.table = "metrics";
+  index_scan.schema = schema;
+  index_scan.index_col = 1;
+  index_scan.index_lo = Value::Int64(10);
+  index_scan.index_hi = Value::Int64(99);
+  g.nodes.push_back(std::move(index_scan));  // 0
+  query::OpNode filter;
+  filter.type = query::OpType::kFilter;
+  filter.inputs = {0};
+  filter.predicate = Expr::Compare(exec::CompareOp::kGe, Expr::Column(1),
+                                   Expr::Literal(Value::Int64(10)));
+  g.nodes.push_back(std::move(filter));  // 1
+  query::OpNode project = query::ProjectOp(
+      {Expr::Column(1), Expr::Column(0)});
+  project.inputs = {1};
+  project.out = query::ExchangeKind::kRehash;
+  g.nodes.push_back(std::move(project));  // 2
+  query::OpNode scan = query::ScanOp("links", schema);
+  scan.out = query::ExchangeKind::kRehash;
+  g.nodes.push_back(std::move(scan));  // 3
+  query::OpNode join =
+      query::JoinOp(query::JoinStrategy::kBloom, {0, 1}, {1, 0});
+  join.inputs = {2, 3};
+  g.nodes.push_back(std::move(join));  // 4
+  query::OpNode rec;
+  rec.type = query::OpType::kRecurse;
+  rec.inputs = {4};
+  rec.src_col = 2;
+  rec.dst_col = 3;
+  rec.max_hops = 5;
+  rec.predicate = Expr::IsNull(Expr::Column(0), /*negated=*/true);
+  g.nodes.push_back(std::move(rec));  // 5
+  query::OpNode partial;
+  partial.type = query::OpType::kPartialAgg;
+  partial.inputs = {5};
+  partial.out = query::ExchangeKind::kTree;
+  partial.group_cols = {1};
+  partial.aggs = {{exec::AggFunc::kMax, 2, "hops"},
+                  {exec::AggFunc::kCount, -1, "n"}};
+  g.nodes.push_back(std::move(partial));  // 6
+  query::OpNode final_agg = query::FinalAggOp(
+      {1}, {{exec::AggFunc::kMax, 2, "hops"}, {exec::AggFunc::kCount, -1, "n"}},
+      Expr::Compare(exec::CompareOp::kGt, Expr::Column(2),
+                    Expr::Literal(Value::Int64(1))));
+  final_agg.inputs = {6};
+  g.nodes.push_back(std::move(final_agg));  // 7
+  query::OpNode collect = query::CollectOp();
+  collect.inputs = {7};
+  collect.distinct = true;
+  collect.final_projection = {2, 0, 1};
+  collect.order_col = 1;
+  collect.order_desc = true;
+  collect.limit = 7;
+  g.nodes.push_back(std::move(collect));  // 8
+  EXPECT_TRUE(g.Validate().ok()) << g.Validate().ToString();
+  return g;
+}
+
+std::string AllOpTypesGraphBytes() {
+  Writer w;
+  AllOpTypesGraph().Serialize(&w);
   return w.Release();
 }
 
@@ -173,30 +244,110 @@ TEST(FuzzDeserialize, OpGraphGarbage) {
   };
   NoCrashOnGarbage(parse, 2000, 256, 16);
   NoCrashOnMutation(parse, ValidOpGraphBytes(), 17);
+  NoCrashOnMutation(parse, AllOpTypesGraphBytes(), 24);
 }
 
 TEST(FuzzDeserialize, OpGraphTruncationsAllRejected) {
   // Graph bytes end exactly at the last node, so every strict prefix must
-  // fail with a Status — never crash, never "succeed" on partial input.
-  std::string valid = ValidOpGraphBytes();
-  for (size_t cut = 0; cut < valid.size(); ++cut) {
-    std::string truncated = valid.substr(0, cut);
-    Reader r(truncated);
-    query::OpGraph g;
-    EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok()) << "cut=" << cut;
+  // fail with a Status — never crash, never "succeed" on partial input —
+  // whichever node type's field group the cut lands in.
+  for (const std::string& valid :
+       {ValidOpGraphBytes(), AllOpTypesGraphBytes()}) {
+    for (size_t cut = 0; cut < valid.size(); ++cut) {
+      std::string truncated = valid.substr(0, cut);
+      Reader r(truncated);
+      query::OpGraph g;
+      EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok()) << "cut=" << cut;
+    }
   }
 }
 
 TEST(FuzzDeserialize, OpGraphRoundTripsByteIdentical) {
-  std::string valid = ValidOpGraphBytes();
-  Reader r(valid);
+  for (const std::string& valid :
+       {ValidOpGraphBytes(), AllOpTypesGraphBytes()}) {
+    Reader r(valid);
+    query::OpGraph g;
+    ASSERT_TRUE(query::OpGraph::Deserialize(&r, &g).ok());
+    ASSERT_TRUE(g.Validate().ok());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(g.nodes.back().type, query::OpType::kCollect);
+    Writer w;
+    g.Serialize(&w);
+    EXPECT_EQ(w.buffer(), valid);
+  }
+}
+
+TEST(FuzzDeserialize, EveryOpTypeFieldGroupSurvivesTheWire) {
+  const query::OpGraph want = AllOpTypesGraph();
+  std::string bytes = AllOpTypesGraphBytes();
+  Reader r(bytes);
   query::OpGraph g;
   ASSERT_TRUE(query::OpGraph::Deserialize(&r, &g).ok());
-  ASSERT_TRUE(g.Validate().ok());
-  EXPECT_EQ(g.nodes.back().type, query::OpType::kCollect);
-  Writer w;
-  g.Serialize(&w);
-  EXPECT_EQ(w.buffer(), valid);
+  ASSERT_EQ(g.size(), 9u);
+  for (size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g.nodes[i].type, want.nodes[i].type) << i;
+    EXPECT_EQ(g.nodes[i].inputs, want.nodes[i].inputs) << i;
+    EXPECT_EQ(g.nodes[i].out, want.nodes[i].out) << i;
+    // The EXPLAIN line renders each type's own field group.
+    EXPECT_EQ(g.nodes[i].ToString(), want.nodes[i].ToString()) << i;
+  }
+  const query::OpNode& index_scan = g.nodes[0];
+  EXPECT_EQ(index_scan.table, "metrics");
+  EXPECT_EQ(index_scan.schema.num_columns(), 2u);
+  EXPECT_EQ(index_scan.index_col, 1);
+  EXPECT_EQ(index_scan.index_lo, Value::Int64(10));
+  EXPECT_EQ(index_scan.index_hi, Value::Int64(99));
+  EXPECT_EQ(g.nodes[1].predicate->ToString(),
+            want.nodes[1].predicate->ToString());
+  EXPECT_EQ(g.nodes[2].exprs.size(), 2u);
+  EXPECT_EQ(g.nodes[3].table, "links");
+  EXPECT_EQ(g.nodes[3].schema.num_columns(), 2u);
+  EXPECT_EQ(g.nodes[4].strategy, query::JoinStrategy::kBloom);
+  EXPECT_EQ(g.nodes[4].left_keys, (std::vector<int>{0, 1}));
+  EXPECT_EQ(g.nodes[4].right_keys, (std::vector<int>{1, 0}));
+  EXPECT_EQ(g.nodes[5].src_col, 2);
+  EXPECT_EQ(g.nodes[5].dst_col, 3);
+  EXPECT_EQ(g.nodes[5].max_hops, 5);
+  EXPECT_NE(g.nodes[5].predicate, nullptr);
+  for (size_t agg : {6, 7}) {
+    EXPECT_EQ(g.nodes[agg].group_cols, std::vector<int>{1});
+    ASSERT_EQ(g.nodes[agg].aggs.size(), 2u);
+    EXPECT_EQ(g.nodes[agg].aggs[0].fn, exec::AggFunc::kMax);
+    EXPECT_EQ(g.nodes[agg].aggs[0].col, 2);
+  }
+  EXPECT_NE(g.nodes[7].having, nullptr);
+  const query::OpNode& collect = g.nodes[8];
+  EXPECT_TRUE(collect.distinct);
+  EXPECT_EQ(collect.final_projection, (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(collect.order_col, 1);
+  EXPECT_TRUE(collect.order_desc);
+  EXPECT_EQ(collect.limit, 7);
+}
+
+TEST(FuzzDeserialize, OpNodeWritesOnlyItsOwnFieldGroup) {
+  // Fields of other types' groups never reach the wire: a scan carrying
+  // stale index-scan, join and collect fields encodes exactly like a clean
+  // one, and decodes with those fields at their defaults.
+  query::OpNode clean = query::ScanOp(
+      "t", catalog::Schema("t", {{"a", ValueType::kInt64}}));
+  query::OpNode dirty = clean;
+  dirty.index_col = 3;
+  dirty.index_lo = Value::Int64(1);
+  dirty.left_keys = {0};
+  dirty.limit = 9;
+  dirty.predicate = exec::Expr::Literal(Value::Bool(true));
+  Writer wc, wd;
+  clean.Serialize(&wc);
+  dirty.Serialize(&wd);
+  EXPECT_EQ(wd.buffer(), wc.buffer());
+  Reader r(wd.buffer());
+  query::OpNode back = dirty;  // decoding resets every other group
+  ASSERT_TRUE(query::OpNode::Deserialize(&r, &back).ok());
+  EXPECT_EQ(back.index_col, 0);
+  EXPECT_TRUE(back.index_lo.is_null());
+  EXPECT_TRUE(back.left_keys.empty());
+  EXPECT_EQ(back.limit, -1);
+  EXPECT_EQ(back.predicate, nullptr);
 }
 
 TEST(FuzzDeserialize, MalformedOpGraphStructureRejected) {
@@ -231,41 +382,18 @@ TEST(FuzzDeserialize, MalformedOpGraphStructureRejected) {
 }
 
 TEST(FuzzDeserialize, PlanWithGraphRoundTrips) {
+  // The plan broadcast is the graph plus every/window/budget.
   std::string plan_bytes = ValidPlanBytes();
-  Reader r0(plan_bytes);
-  query::QueryPlan plan;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r0, &plan).ok());
-  // Planner-composed graphs travel on the wire (derived canonical graphs
-  // do not — members rebuild those from the classic fields).
-  plan.graph = plan.CanonicalGraph();
-  Writer w;
-  plan.Serialize(&w);
-  Reader r(w.buffer());
+  Reader r(plan_bytes);
   query::QueryPlan back;
   ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &back).ok());
+  EXPECT_TRUE(r.AtEnd());
   ASSERT_FALSE(back.graph.empty());
   EXPECT_TRUE(back.graph.Validate().ok());
-  EXPECT_EQ(back.graph.size(), plan.graph.size());
-}
-
-TEST(FuzzDeserialize, DerivedGraphNotShippedButRederivable) {
-  std::string plan_bytes = ValidPlanBytes();
-  Reader r0(plan_bytes);
-  query::QueryPlan plan;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r0, &plan).ok());
-  plan.EnsureGraph();
-  ASSERT_TRUE(plan.graph_is_derived);
+  EXPECT_EQ(back.graph.size(), ValidPlan().graph.size());
   Writer w;
-  plan.Serialize(&w);
-  Reader r(w.buffer());
-  query::QueryPlan back;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &back).ok());
-  EXPECT_TRUE(back.graph.empty());  // not on the wire...
-  back.EnsureGraph();               // ...but identical when re-derived
-  Writer wa, wb;
-  plan.graph.Serialize(&wa);
-  back.graph.Serialize(&wb);
-  EXPECT_EQ(wa.buffer(), wb.buffer());
+  back.Serialize(&w);
+  EXPECT_EQ(w.buffer(), plan_bytes);
 }
 
 TEST(FuzzDeserialize, PlanRoundTripSurvivesAndMatches) {
@@ -274,11 +402,27 @@ TEST(FuzzDeserialize, PlanRoundTripSurvivesAndMatches) {
   Reader r(bytes);
   query::QueryPlan p;
   ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &p).ok());
-  EXPECT_EQ(p.kind, query::PlanKind::kAggregate);
-  EXPECT_EQ(p.table, "snort_alerts");
-  EXPECT_EQ(p.aggs.size(), 1u);
-  EXPECT_EQ(p.limit, 10);
-  EXPECT_NE(p.where, nullptr);
+  const query::OpGraph& g = p.graph;
+  ASSERT_TRUE(g.Has(query::OpType::kFinalAgg));
+  EXPECT_EQ(g.nodes[0].type, query::OpType::kScan);
+  EXPECT_EQ(g.nodes[0].table, "snort_alerts");
+  EXPECT_EQ(g.nodes[g.FindFirst(query::OpType::kFinalAgg)].aggs.size(), 1u);
+  EXPECT_EQ(g.nodes.back().limit, 10);
+  ASSERT_TRUE(g.Has(query::OpType::kFilter));
+  EXPECT_NE(g.nodes[g.FindFirst(query::OpType::kFilter)].predicate, nullptr);
+  EXPECT_EQ(p.every, Seconds(10));
+  EXPECT_EQ(p.budget.max_result_rows, 500u);
+}
+
+TEST(FuzzDeserialize, PlanWithoutGraphRejected) {
+  // An empty graph cannot execute, so it is refused on the wire instead of
+  // installing a plan with nothing to run.
+  query::QueryPlan empty;
+  Writer w;
+  empty.Serialize(&w);
+  Reader r(w.buffer());
+  query::QueryPlan back;
+  EXPECT_FALSE(query::QueryPlan::Deserialize(&r, &back).ok());
 }
 
 std::string ValidIndexGraphBytes() {

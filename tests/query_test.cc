@@ -15,6 +15,7 @@
 #include "core/network.h"
 #include "query/engine.h"
 #include "query/plan.h"
+#include "workload/workloads.h"
 
 namespace pier {
 namespace query {
@@ -111,9 +112,7 @@ TEST(QuerySelectTest, SelectStarCollectsAllRows) {
   PublishAlerts(net, {{1, "a", 10}, {2, "b", 20}, {3, "c", 30}, {4, "d", 40}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
 
   std::vector<ResultBatch> batches;
   auto r = net.node(0)->query_engine()->Execute(
@@ -135,16 +134,13 @@ TEST(QuerySelectTest, WhereFiltersAndProjectionComputes) {
   PublishAlerts(net, {{1, "a", 10}, {2, "b", 20}, {3, "c", 30}, {4, "d", 40}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
   // WHERE hits >= 25  SELECT rule_id, hits * 2
-  plan.where = Expr::Compare(CompareOp::kGe, Expr::Column(2),
-                             Expr::Literal(Value::Int64(25)));
-  plan.projections = {Expr::Column(0),
-                      Expr::Arith(exec::ArithOp::kMul, Expr::Column(2),
-                                  Expr::Literal(Value::Int64(2)))};
-  plan.output_names = {"rule_id", "hits2"};
+  plan.graph = SelectGraph(
+      "alerts", AlertsTable().schema,
+      Expr::Compare(CompareOp::kGe, Expr::Column(2),
+                    Expr::Literal(Value::Int64(25))),
+      {Expr::Column(0), Expr::Arith(exec::ArithOp::kMul, Expr::Column(2),
+                                    Expr::Literal(Value::Int64(2)))});
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(1)
@@ -170,12 +166,11 @@ TEST(QuerySelectTest, OrderByAndLimitAtOrigin) {
   PublishAlerts(net, {{1, "a", 40}, {2, "b", 10}, {3, "c", 30}, {4, "d", 20}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.order_col = 2;
-  plan.order_desc = true;
-  plan.limit = 2;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
+  OpNode& collect = plan.graph.nodes.back();
+  collect.order_col = 2;
+  collect.order_desc = true;
+  collect.limit = 2;
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -204,10 +199,8 @@ TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
   PublishAlerts(net, rows);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.limit = 3;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
+  plan.graph.nodes.back().limit = 3;
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -240,11 +233,9 @@ TEST(QuerySelectTest, DistinctAtOrigin) {
                 {{1, "x", 5}, {1, "x", 5}, {2, "y", 6}, {2, "y", 6}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.projections = {Expr::Column(0), Expr::Column(1)};
-  plan.distinct = true;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema, nullptr,
+                           {Expr::Column(0), Expr::Column(1)});
+  plan.graph.nodes.back().distinct = true;
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -280,12 +271,9 @@ TEST_P(QueryAggTest, GroupBySumMatchesReference) {
   PublishAlerts(net, rows);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = GetParam();
+  plan.graph = AggregateGraph(
+      "alerts", AlertsTable().schema, {0},
+      {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}}, GetParam());
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -315,15 +303,12 @@ TEST(QueryAggregateTest, AllFiveAggregateFunctions) {
   PublishAlerts(net, {{1, "a", 10}, {1, "b", 20}, {1, "c", 60}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "sum"},
-               {AggFunc::kCount, -1, "cnt"},
-               {AggFunc::kAvg, 2, "avg"},
-               {AggFunc::kMin, 2, "min"},
-               {AggFunc::kMax, 2, "max"}};
+  plan.graph = AggregateGraph("alerts", AlertsTable().schema, {0},
+                              {{AggFunc::kSum, 2, "sum"},
+                               {AggFunc::kCount, -1, "cnt"},
+                               {AggFunc::kAvg, 2, "avg"},
+                               {AggFunc::kMin, 2, "min"},
+                               {AggFunc::kMax, 2, "max"}});
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(2)
@@ -358,19 +343,18 @@ TEST(QueryAggregateTest, HavingTopKAndFinalProjection) {
   PublishAlerts(net, rows);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}};
+  plan.graph = AggregateGraph("alerts", AlertsTable().schema, {0},
+                              {{AggFunc::kSum, 2, "total"}});
   // HAVING SUM(hits) >= 900 over layout [rule_id, total].
-  plan.having = Expr::Compare(CompareOp::kGe, Expr::Column(1),
-                              Expr::Literal(Value::Int64(900)));
+  plan.graph.nodes[plan.graph.FindFirst(OpType::kFinalAgg)].having =
+      Expr::Compare(CompareOp::kGe, Expr::Column(1),
+                    Expr::Literal(Value::Int64(900)));
+  OpNode& collect = plan.graph.nodes.back();
   // SELECT total, rule_id (permuted).
-  plan.final_projection = {1, 0};
-  plan.order_col = 0;  // total, post-permutation
-  plan.order_desc = true;
-  plan.limit = 3;
+  collect.final_projection = {1, 0};
+  collect.order_col = 0;  // total, post-permutation
+  collect.order_desc = true;
+  collect.limit = 3;
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -401,12 +385,10 @@ TEST(QueryAggregateTest, TreeAggregationOnChordMatchesReference) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = AggStrategy::kTree;
+  plan.graph = AggregateGraph(
+      "alerts", AlertsTable().schema, {0},
+      {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}},
+      AggStrategy::kTree);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -444,12 +426,10 @@ TEST(QueryContinuousTest, EpochsTrackChangingData) {
   net.RunFor(Seconds(3));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "rows"}};
-  plan.agg_strategy = AggStrategy::kDirect;
+  plan.graph = AggregateGraph(
+      "alerts", AlertsTable().schema, {},
+      {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "rows"}},
+      AggStrategy::kDirect);
   plan.every = Seconds(10);
   plan.window = Seconds(10);  // only rows published this epoch
 
@@ -488,9 +468,7 @@ TEST(QueryContinuousTest, CancelStopsEpochs) {
   PublishAlerts(net, {{1, "x", 1}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
   plan.every = Seconds(8);
 
   std::vector<ResultBatch> batches;
@@ -553,18 +531,13 @@ TEST_P(QueryJoinTest, EquiJoinMatchesReference) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = GetParam();
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = RulesTable().schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
   // Concat layout: [rule_id, descr, hits, rules.rule_id, severity].
-  plan.where = Expr::Compare(CompareOp::kGe, Expr::Column(4),
-                             Expr::Literal(Value::Int64(2)));
-  plan.projections = {Expr::Column(0), Expr::Column(2), Expr::Column(4)};
+  plan.graph = JoinGraph(
+      ScanOp("alerts", AlertsTable().schema),
+      ScanOp("rules", RulesTable().schema), JoinOp(GetParam(), {0}, {0}),
+      Expr::Compare(CompareOp::kGe, Expr::Column(4),
+                    Expr::Literal(Value::Int64(2))),
+      ProjectOp({Expr::Column(0), Expr::Column(2), Expr::Column(4)}));
 
   std::vector<ResultBatch> batches;
   auto r = net.node(0)->query_engine()->Execute(
@@ -633,16 +606,12 @@ TEST(QueryJoinTest2, JoinWithOriginAggregation) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = JoinStrategy::kSymmetricHash;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = RulesTable().schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
-  plan.group_cols = {4};  // severity in concat layout
-  plan.aggs = {{AggFunc::kCount, -1, "n"}};
+  plan.graph = JoinGraph(ScanOp("alerts", AlertsTable().schema),
+                         ScanOp("rules", RulesTable().schema),
+                         JoinOp(JoinStrategy::kSymmetricHash, {0}, {0}),
+                         nullptr,
+                         // severity in the concat layout
+                         FinalAggOp({4}, {{AggFunc::kCount, -1, "n"}}));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(1)
@@ -677,15 +646,11 @@ TEST(QueryJoinTest2, SymmetricHashJoinOnChord) {
   net.RunFor(Seconds(8));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = JoinStrategy::kSymmetricHash;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = RulesTable().schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
-  plan.projections = {Expr::Column(0), Expr::Column(4)};
+  plan.graph = JoinGraph(ScanOp("alerts", AlertsTable().schema),
+                         ScanOp("rules", RulesTable().schema),
+                         JoinOp(JoinStrategy::kSymmetricHash, {0}, {0}),
+                         nullptr,
+                         ProjectOp({Expr::Column(0), Expr::Column(4)}));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -707,14 +672,9 @@ TEST(QueryJoinTest2, FetchMatchesRequiresCompatiblePartitioning) {
   RegisterEverywhere(net, rules);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = JoinStrategy::kFetchMatches;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = rules.schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
+  plan.graph = JoinGraph(ScanOp("alerts", AlertsTable().schema),
+                         ScanOp("rules", rules.schema),
+                         JoinOp(JoinStrategy::kFetchMatches, {0}, {0}));
 
   auto r = net.node(0)->query_engine()->Execute(plan,
                                                 [](const ResultBatch&) {});
@@ -746,12 +706,8 @@ TEST(QueryRecursiveTest, TransitiveClosureOfChain) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = LinksTable().schema;
-  plan.src_col = 0;
-  plan.dst_col = 1;
-  plan.max_hops = 8;
+  plan.graph = RecursiveGraph("links", LinksTable().schema, /*src_col=*/0,
+                              /*dst_col=*/1, /*max_hops=*/8);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -789,10 +745,8 @@ TEST(QueryRecursiveTest, CycleTerminatesViaDedup) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = LinksTable().schema;
-  plan.max_hops = 10;
+  plan.graph = RecursiveGraph("links", LinksTable().schema, 0, 1,
+                              /*max_hops=*/10);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -823,13 +777,12 @@ TEST(QueryRecursiveTest, OuterWhereAndMaxHops) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = LinksTable().schema;
-  plan.max_hops = 2;  // only paths of length <= 2
-  // Only pairs starting at 'a': layout (src, dst, hops).
-  plan.outer_where = Expr::Compare(CompareOp::kEq, Expr::Column(0),
-                                   Expr::Literal(Value::String("a")));
+  // Paths of length <= 2, only pairs starting at 'a': the outer filter runs
+  // over the closure layout (src, dst, hops).
+  plan.graph = RecursiveGraph(
+      "links", LinksTable().schema, 0, 1, /*max_hops=*/2, nullptr,
+      Expr::Compare(CompareOp::kEq, Expr::Column(0),
+                    Expr::Literal(Value::String("a"))));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -847,6 +800,64 @@ TEST(QueryRecursiveTest, OuterWhereAndMaxHops) {
   EXPECT_EQ(dsts, (std::set<std::string>{"b", "c"}));
 }
 
+TEST(QueryRecursiveTest, ReachTuplesArrivingBeforeThePlanAreDrained) {
+  // 32 Chord nodes: the plan reaches members at different times, so a fast
+  // member's seed reach tuples can land at a pair owner that has not
+  // installed the plan yet. Under this seed every pair from v4 (its two
+  // base edges included) is stored that way; the owner must drain them
+  // when it sets up, or the closure silently misses them.
+  PierNetworkOptions opts;
+  opts.seed = 908;
+  opts.node.router_kind = RouterKind::kChord;
+  opts.node.engine.quiesce_window = Seconds(8);
+  opts.node.engine.recursion_deadline = Seconds(240);
+  opts.join_stagger = Millis(100);
+  PierNetwork net(32, opts);
+  net.Boot(Seconds(60));
+  workload::TopologyOptions topo;
+  topo.num_vertices = 8;
+  topo.out_degree = 2;
+  std::vector<std::pair<std::string, std::string>> edges =
+      workload::PublishTopology(&net, topo, /*seed=*/17);
+  net.RunFor(Seconds(10));
+
+  // Reference closure (distinct endpoints) by repeated relaxation.
+  std::set<std::pair<std::string, std::string>> expected(edges.begin(),
+                                                         edges.end());
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [a, b] : std::vector<std::pair<std::string, std::string>>(
+             expected.begin(), expected.end())) {
+      for (const auto& [c, d] : edges) {
+        if (b == c) grew |= expected.insert({a, d}).second;
+      }
+    }
+  }
+  for (auto it = expected.begin(); it != expected.end();) {
+    it = it->first == it->second ? expected.erase(it) : std::next(it);
+  }
+  ASSERT_EQ(expected.size(), 56u);
+
+  QueryPlan plan;
+  plan.graph = RecursiveGraph("links", workload::LinksTable().schema, 0, 1,
+                              /*max_hops=*/12);
+  std::set<std::pair<std::string, std::string>> got;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(plan,
+                            [&](const ResultBatch& b) {
+                              for (const Tuple& t : b.rows) {
+                                if (t[0].Compare(t[1]) != 0) {
+                                  got.insert({t[0].string_value(),
+                                              t[1].string_value()});
+                                }
+                              }
+                            })
+                  .ok());
+  net.RunFor(Seconds(280));
+  EXPECT_EQ(got, expected);
+}
+
 // ---------------------------------------------------------------------------
 // Robustness
 // ---------------------------------------------------------------------------
@@ -862,12 +873,9 @@ TEST(QueryRobustnessTest, AggregationSurvivesNodeCrashMidQuery) {
   PublishAlerts(net, rows);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = AggStrategy::kDirect;
+  plan.graph = AggregateGraph("alerts", AlertsTable().schema, {0},
+                              {{AggFunc::kCount, -1, "n"}},
+                              AggStrategy::kDirect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -907,12 +915,9 @@ TEST(QueryRobustnessTest, LatePartialsCountedAfterFinalize) {
   PublishAlerts(net, rows);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {};
-  plan.aggs = {{AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = AggStrategy::kDirect;
+  plan.graph = AggregateGraph("alerts", AlertsTable().schema, {},
+                              {{AggFunc::kCount, -1, "n"}},
+                              AggStrategy::kDirect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -939,9 +944,7 @@ TEST(QueryRobustnessTest, EngineStatsAccumulate) {
   PublishAlerts(net, {{1, "a", 1}});
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
                   ->query_engine()
@@ -971,35 +974,22 @@ TableDef IndexedAlertsTable() {
 /// SELECT rule_id, hits FROM alerts WHERE hits >= lo AND hits <= hi.
 QueryPlan IndexRangePlan(int64_t lo, int64_t hi, int64_t limit = -1) {
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = IndexedAlertsTable().schema;
-  plan.limit = limit;
-  OpGraph g;
   OpNode scan;
   scan.type = OpType::kIndexScan;
   scan.table = "alerts";
-  scan.schema = plan.scan_schema;
+  scan.schema = IndexedAlertsTable().schema;
   scan.index_col = 2;
   scan.index_lo = Value::Int64(lo);
   scan.index_hi = Value::Int64(hi);
-  g.nodes.push_back(std::move(scan));
-  OpNode f;
-  f.type = OpType::kFilter;
-  f.predicate = Expr::And(
-      Expr::Compare(CompareOp::kGe, Expr::Column(2),
-                    Expr::Literal(Value::Int64(lo))),
-      Expr::Compare(CompareOp::kLe, Expr::Column(2),
-                    Expr::Literal(Value::Int64(hi))));
-  f.inputs = {0};
-  f.out = ExchangeKind::kToOrigin;
-  g.nodes.push_back(std::move(f));
-  OpNode collect;
-  collect.type = OpType::kCollect;
+  plan.graph.nodes.push_back(std::move(scan));
+  OpNode collect = CollectOp();
   collect.limit = limit;
-  collect.inputs = {1};
-  g.nodes.push_back(std::move(collect));
-  plan.graph = std::move(g);
+  AppendTail(&plan.graph,
+             Expr::And(Expr::Compare(CompareOp::kGe, Expr::Column(2),
+                                     Expr::Literal(Value::Int64(lo))),
+                       Expr::Compare(CompareOp::kLe, Expr::Column(2),
+                                     Expr::Literal(Value::Int64(hi)))),
+             ProjectOp({}), std::move(collect));
   return plan;
 }
 

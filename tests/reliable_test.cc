@@ -207,9 +207,7 @@ TEST(ReliableEndToEndTest, CleanNetworkAnswerMatchesOracle) {
   net.RunFor(Seconds(5));
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
   auto oracle = testkit::OracleEvaluate(net, plan);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 
@@ -281,9 +279,7 @@ TEST(ReliableTeardownTest, StormWithCancelsAndCrashLeavesAdmissionOpen) {
   net.net()->SetFaultPlane(&plane);
 
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
 
   // Twelve overlapping short queries from rotating origins (node 5 is the
   // crash victim, so it only ever serves as a member). Every third query is

@@ -57,9 +57,7 @@ void PublishAlerts(PierNetwork& net, int n) {
 
 QueryPlan ScanPlan() {
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
   return plan;
 }
 

@@ -24,7 +24,8 @@ using catalog::Tuple;
 using core::PierNetwork;
 using core::PierNetworkOptions;
 using core::RouterKind;
-using query::PlanKind;
+using query::OpNode;
+using query::OpType;
 using query::QueryPlan;
 using query::ResultBatch;
 
@@ -278,29 +279,60 @@ QueryPlan MustPlan(const std::string& text) {
   return plan.value();
 }
 
+/// The node types of `p`'s graph, in storage order.
+std::vector<OpType> NodeTypes(const QueryPlan& p) {
+  std::vector<OpType> types;
+  for (const OpNode& n : p.graph.nodes) types.push_back(n.type);
+  return types;
+}
+
+/// The first node of type `t` (a default node, after a test failure, when
+/// the graph has none).
+const OpNode& NodeOf(const QueryPlan& p, OpType t) {
+  static const OpNode kMissing;
+  int id = p.graph.FindFirst(t);
+  if (id < 0) {
+    ADD_FAILURE() << "no " << query::OpTypeName(t) << " node in "
+                  << p.graph.ToString();
+    return kMissing;
+  }
+  return p.graph.nodes[static_cast<size_t>(id)];
+}
+
 TEST(PlannerTest, SimpleSelectBindsColumns) {
   QueryPlan p = MustPlan("SELECT rule_id, hits * 2 FROM alerts WHERE hits > 5");
-  EXPECT_EQ(p.kind, PlanKind::kSelectProject);
-  EXPECT_EQ(p.table, "alerts");
-  EXPECT_EQ(p.projections.size(), 2u);
-  EXPECT_NE(p.where, nullptr);
+  EXPECT_EQ(NodeTypes(p), (std::vector<OpType>{OpType::kScan, OpType::kFilter,
+                                                OpType::kProject,
+                                                OpType::kCollect}));
+  EXPECT_EQ(NodeOf(p, OpType::kScan).table, "alerts");
+  EXPECT_EQ(NodeOf(p, OpType::kProject).exprs.size(), 2u);
+  EXPECT_NE(NodeOf(p, OpType::kFilter).predicate, nullptr);
 }
 
 TEST(PlannerTest, AggregateAnalysis) {
   QueryPlan p = MustPlan(
       "SELECT SUM(hits) AS total, rule_id FROM alerts GROUP BY rule_id "
       "HAVING COUNT(*) > 1 ORDER BY total DESC LIMIT 3");
-  EXPECT_EQ(p.kind, PlanKind::kAggregate);
-  EXPECT_EQ(p.group_cols, std::vector<int>{0});
+  EXPECT_EQ(NodeTypes(p),
+            (std::vector<OpType>{OpType::kScan, OpType::kPartialAgg,
+                                 OpType::kFinalAgg, OpType::kCollect}));
+  const OpNode& final_agg = NodeOf(p, OpType::kFinalAgg);
+  EXPECT_EQ(final_agg.group_cols, std::vector<int>{0});
   // SUM for the item, COUNT added by HAVING.
-  ASSERT_EQ(p.aggs.size(), 2u);
-  EXPECT_EQ(p.aggs[0].fn, exec::AggFunc::kSum);
-  EXPECT_EQ(p.aggs[1].fn, exec::AggFunc::kCount);
+  ASSERT_EQ(final_agg.aggs.size(), 2u);
+  EXPECT_EQ(final_agg.aggs[0].fn, exec::AggFunc::kSum);
+  EXPECT_EQ(final_agg.aggs[1].fn, exec::AggFunc::kCount);
+  EXPECT_NE(final_agg.having, nullptr);
+  // The partial stage computes the same groups and aggregates.
+  const OpNode& partial = NodeOf(p, OpType::kPartialAgg);
+  EXPECT_EQ(partial.group_cols, final_agg.group_cols);
+  EXPECT_EQ(partial.aggs.size(), final_agg.aggs.size());
   // SELECT order: total (agg 0 at layout pos 1), rule_id (group 0 at pos 0).
-  EXPECT_EQ(p.final_projection, (std::vector<int>{1, 0}));
-  EXPECT_EQ(p.order_col, 0);
-  EXPECT_TRUE(p.order_desc);
-  EXPECT_EQ(p.limit, 3);
+  const OpNode& collect = NodeOf(p, OpType::kCollect);
+  EXPECT_EQ(collect.final_projection, (std::vector<int>{1, 0}));
+  EXPECT_EQ(collect.order_col, 0);
+  EXPECT_TRUE(collect.order_desc);
+  EXPECT_EQ(collect.limit, 3);
 }
 
 TEST(PlannerTest, NonGroupedColumnRejected) {
@@ -325,12 +357,13 @@ TEST(PlannerTest, JoinKeyExtraction) {
   QueryPlan p = MustPlan(
       "SELECT a.rule_id, r.severity FROM alerts a, rules r "
       "WHERE a.rule_id = r.rule_id AND r.severity > 1");
-  EXPECT_EQ(p.kind, PlanKind::kJoin);
-  EXPECT_EQ(p.left_key_cols, std::vector<int>{0});
-  EXPECT_EQ(p.right_key_cols, std::vector<int>{0});
-  EXPECT_NE(p.where, nullptr);  // residual severity > 1
+  const OpNode& join = NodeOf(p, OpType::kJoin);
+  EXPECT_EQ(join.left_keys, std::vector<int>{0});
+  EXPECT_EQ(join.right_keys, std::vector<int>{0});
+  // residual severity > 1
+  EXPECT_NE(NodeOf(p, OpType::kFilter).predicate, nullptr);
   // rules is partitioned on rule_id, so the planner picks fetch-matches.
-  EXPECT_EQ(p.join_strategy, query::JoinStrategy::kFetchMatches);
+  EXPECT_EQ(join.strategy, query::JoinStrategy::kFetchMatches);
 }
 
 TEST(PlannerTest, MultiwayJoinComposesOpgraph) {
@@ -434,28 +467,31 @@ TEST(PlannerTest, StatsDriveBinaryJoinStrategy) {
   opts.prefer_fetch_matches = false;  // isolate the statistics path
   QueryPlan semi = MustPlanStats(
       "SELECT w.k FROM wide w, narrow n WHERE w.k = n.k", opts);
-  EXPECT_EQ(semi.join_strategy, query::JoinStrategy::kSymmetricSemi);
+  EXPECT_EQ(NodeOf(semi, OpType::kJoin).strategy,
+            query::JoinStrategy::kSymmetricSemi);
 
   QueryPlan bloom = MustPlanStats(
       "SELECT a.k FROM biga a, bigb b WHERE a.k = b.k", opts);
-  EXPECT_EQ(bloom.join_strategy, query::JoinStrategy::kBloom);
+  EXPECT_EQ(NodeOf(bloom, OpType::kJoin).strategy,
+            query::JoinStrategy::kBloom);
 
   // EXPLAIN surfaces the planner's choice per edge.
-  bloom.EnsureGraph();
   EXPECT_NE(bloom.graph.ToString().find("join[bloom]"), std::string::npos)
       << bloom.graph.ToString();
 
   // No stats on one side: conservative symmetric hash.
   QueryPlan hash = MustPlanStats(
       "SELECT w.k FROM wide w, nostats x WHERE w.k = x.k", opts);
-  EXPECT_EQ(hash.join_strategy, query::JoinStrategy::kSymmetricHash);
+  EXPECT_EQ(NodeOf(hash, OpType::kJoin).strategy,
+            query::JoinStrategy::kSymmetricHash);
 
   // An explicit caller strategy is a directive, not a hint: the cost
   // model must not override it.
   opts.join_strategy = query::JoinStrategy::kBloom;
   QueryPlan forced = MustPlanStats(
       "SELECT w.k FROM wide w, narrow n WHERE w.k = n.k", opts);
-  EXPECT_EQ(forced.join_strategy, query::JoinStrategy::kBloom);
+  EXPECT_EQ(NodeOf(forced, OpType::kJoin).strategy,
+            query::JoinStrategy::kBloom);
 }
 
 TEST(PlannerTest, StatsDriveMultiwayFirstEdgeOnly) {
@@ -505,12 +541,72 @@ TEST(PlannerTest, RecursivePlan) {
       "  UNION SELECT reach.src, l.dst FROM reach JOIN links l "
       "    ON reach.dst = l.src"
       ") SELECT * FROM reach WHERE hops <= 3 MAXHOPS 5");
-  EXPECT_EQ(p.kind, PlanKind::kRecursive);
-  EXPECT_EQ(p.table, "links");
-  EXPECT_EQ(p.src_col, 0);
-  EXPECT_EQ(p.dst_col, 1);
-  EXPECT_EQ(p.max_hops, 5);
-  EXPECT_NE(p.outer_where, nullptr);
+  EXPECT_EQ(NodeTypes(p), (std::vector<OpType>{OpType::kScan, OpType::kRecurse,
+                                                OpType::kFilter,
+                                                OpType::kCollect}));
+  EXPECT_EQ(NodeOf(p, OpType::kScan).table, "links");
+  const OpNode& rec = NodeOf(p, OpType::kRecurse);
+  EXPECT_EQ(rec.src_col, 0);
+  EXPECT_EQ(rec.dst_col, 1);
+  EXPECT_EQ(rec.max_hops, 5);
+  // The outer WHERE filters the closure output, after the recursion.
+  EXPECT_NE(NodeOf(p, OpType::kFilter).predicate, nullptr);
+}
+
+// The plan broadcast is most of a query's wire cost, so shipping the graph
+// must cost no more than the encoding it replaced: flat per-shape plan
+// fields that every member re-derived a graph from. The pinned byte counts
+// are that encoding's, measured for these statements over this catalog (the
+// query-storm deployment plus the Table 1 alerts relation).
+TEST(PlannerTest, PlanBytesNoLargerThanClassicFieldEncoding) {
+  catalog::Catalog cat;
+  TableDef readings;
+  readings.name = "readings";
+  readings.schema = Schema("readings", {{"sensor", ValueType::kInt64},
+                                        {"v", ValueType::kInt64}});
+  readings.partition_cols = {0};
+  readings.indexes = {catalog::IndexDef{1, 8}};
+  TableDef sensors;
+  sensors.name = "sensors";
+  sensors.schema = Schema("sensors", {{"sensor", ValueType::kInt64},
+                                      {"zone", ValueType::kInt64}});
+  sensors.partition_cols = {0};
+  TableDef zones;
+  zones.name = "zones";
+  zones.schema = Schema("zones", {{"zone", ValueType::kInt64},
+                                  {"region", ValueType::kInt64}});
+  zones.partition_cols = {1};
+  TableDef alerts;
+  alerts.name = "snort_alerts";
+  alerts.schema = Schema("snort_alerts", {{"rule_id", ValueType::kInt64},
+                                          {"descr", ValueType::kString},
+                                          {"hits", ValueType::kInt64}});
+  alerts.partition_cols = {0};
+  for (const TableDef& def : {readings, sensors, zones, alerts}) {
+    ASSERT_TRUE(cat.Register(def).ok());
+  }
+
+  const struct {
+    const char* sql;
+    size_t classic_bytes;
+  } kCases[] = {
+      {"SELECT sensor, v FROM readings WHERE sensor BETWEEN 7 AND 7", 110},
+      {"SELECT s.sensor, z.region FROM sensors s, zones z "
+       "WHERE s.zone = z.zone",
+       116},
+      {"SELECT rule_id, descr, SUM(hits) AS hits FROM snort_alerts "
+       "GROUP BY rule_id, descr ORDER BY hits DESC LIMIT 10",
+       109},
+  };
+  for (const auto& c : kCases) {
+    auto stmt = sql::Parse(c.sql);
+    ASSERT_TRUE(stmt.ok()) << c.sql;
+    auto plan = planner::PlanStatement(stmt.value(), cat);
+    ASSERT_TRUE(plan.ok()) << c.sql << ": " << plan.status().ToString();
+    Writer w;
+    plan.value().Serialize(&w);
+    EXPECT_LE(w.buffer().size(), c.classic_bytes) << c.sql;
+  }
 }
 
 TEST(PlannerTest, ContinuousClausesCarryThrough) {
