@@ -205,9 +205,6 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
         OnCoverage(seq, members, complete);
       });
   QueryScheduler::Options sched;
-  sched.quantum_rows = options_.sched_quantum_rows;
-  sched.round_interval = options_.sched_round_interval;
-  sched.shared_window = options_.shared_scan_window;
   sched.batch_rows = options_.batch_size;
   scheduler_ = std::make_unique<QueryScheduler>(
       sim_, dht_, &stats_,
@@ -346,43 +343,18 @@ int QueryEngine::QueryDepth(uint64_t qid) const {
   return it == queries_.end() ? 0 : it->second->depth;
 }
 
-void QueryEngine::DeliverResult(uint64_t qid, uint64_t epoch,
-                                const Tuple& t) {
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) return;
-  ActiveQuery* aq = it->second.get();
-  if (aq->is_origin) {
-    OriginAccept(aq, epoch, transport_->self(), t, /*is_partial=*/false);
-    return;
-  }
+void QueryEngine::SendRowFrame(ActiveQuery* aq, sim::HostId to, MsgType type,
+                               uint64_t epoch, const Tuple& t) {
   Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kResultTuple));
-  w.PutVarint64(qid);
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutVarint64(aq->env.query_id);
   w.PutVarint64(epoch);
   catalog::SerializeTuple(t, &w);
-  ++stats_.result_msgs_sent;
-  SendReliable(aq, aq->env.origin, std::move(w), /*control=*/false);
-}
-
-void QueryEngine::DeliverPartial(uint64_t qid, uint64_t epoch, const Tuple& t,
-                                 ExchangeKind route) {
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) return;
-  ActiveQuery* aq = it->second.get();
-  if (aq->is_origin) {
-    OriginAccept(aq, epoch, transport_->self(), t, /*is_partial=*/true);
-    return;
+  if (type == MsgType::kPartialAgg) {
+    ++stats_.partial_msgs_sent;
+  } else {
+    ++stats_.result_msgs_sent;
   }
-  sim::HostId to = aq->env.origin;
-  if (route == ExchangeKind::kTree && aq->parent != sim::kInvalidHost) {
-    to = aq->parent;
-  }
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kPartialAgg));
-  w.PutVarint64(qid);
-  w.PutVarint64(epoch);
-  catalog::SerializeTuple(t, &w);
-  ++stats_.partial_msgs_sent;
   SendReliable(aq, to, std::move(w), /*control=*/false);
 }
 
@@ -401,16 +373,19 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
   }
   size_t n = b.ActiveRows();
   if (n == 0) return;
-  // Chunked delivery: one lost frame costs at most result_frame_rows rows,
-  // keeping best-effort recall under lossy links near the tuple plane's.
-  size_t cap = options_.result_frame_rows == 0 ? n : options_.result_frame_rows;
-  for (size_t start = 0; start < n; start += cap) {
-    size_t len = std::min(cap, n - start);
+  // Chunked delivery: max rows per kResultBatch frame on the member->origin
+  // hop. A lost frame costs the whole frame until its retransmit lands (or
+  // for good, once the retry budget is spent): a small cap keeps the loss
+  // blast radius (and thus recall under faulty links) close to one row per
+  // message while still amortizing per-message framing.
+  constexpr size_t kResultFrameRows = 4;
+  for (size_t start = 0; start < n; start += kResultFrameRows) {
+    size_t len = std::min(kResultFrameRows, n - start);
     if (len == 1) {
-      // A single row ships in the legacy frame — it is smaller.
+      // A single row ships in the row frame — it is smaller.
       Tuple t;
       b.ToTuple(b.RowId(start), &t);
-      DeliverResult(qid, epoch, t);
+      SendRowFrame(aq, aq->env.origin, MsgType::kResultTuple, epoch, t);
       continue;
     }
     Writer w;
@@ -441,14 +416,14 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
     }
     return;
   }
-  if (partials.size() == 1) {
-    // A single partial ships in the legacy row frame — it is smaller.
-    DeliverPartial(qid, epoch, partials[0], route);
-    return;
-  }
   sim::HostId to = aq->env.origin;
   if (route == ExchangeKind::kTree && aq->parent != sim::kInvalidHost) {
     to = aq->parent;
+  }
+  if (partials.size() == 1) {
+    // A single partial ships in the row frame — it is smaller.
+    SendRowFrame(aq, to, MsgType::kPartialAgg, epoch, partials[0]);
+    return;
   }
   // Partial rows from one flush share a layout ([group..., v1, v2 per
   // agg]); columns whose state types diverge across rows (the int->double
@@ -459,7 +434,9 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
   for (const Tuple& t : partials) {
     if (t.size() != types.size()) {
       // Ragged widths cannot share one batch; ship row frames instead.
-      for (const Tuple& p : partials) DeliverPartial(qid, epoch, p, route);
+      for (const Tuple& p : partials) {
+        SendRowFrame(aq, to, MsgType::kPartialAgg, epoch, p);
+      }
       return;
     }
   }
@@ -655,7 +632,7 @@ void QueryEngine::SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
     // Bytes-shipped budget: data frames only — control traffic (acks,
     // reports, the trip notice itself) must always flow or the origin
     // would read the degradation as loss.
-    const QueryBudget budget = EffectiveBudget(*aq);
+    const QueryBudget& budget = aq->env.plan.budget;
     if (budget.max_result_bytes > 0 &&
         aq->bytes_shipped + inner.size() > budget.max_result_bytes) {
       TripBudget(aq);
@@ -690,18 +667,28 @@ void QueryEngine::ScheduleFrameRetry(uint64_t qid, uint64_t frame_id) {
   if (it == queries_.end()) return;
   ReliableOutbox::Frame* f = it->second->outbox.Get(frame_id);
   if (f == nullptr) return;
+  // First retransmit after kRetryInitial without an ack; later attempts
+  // back off exponentially (x2) up to kRetryMax, each delay jittered by
+  // +/- kRetryJitter to decorrelate retransmit storms across senders.
+  constexpr Duration kRetryInitial = Millis(300);
+  constexpr Duration kRetryMax = Seconds(2);
+  constexpr double kRetryJitter = 0.25;
+  // Total send attempts per frame before it is declared lost-for-good and
+  // charged to Completeness::frames_lost. 7 attempts fit inside the default
+  // 8s result window at 20% per-hop loss with P(loss) ~ 1e-3.
+  constexpr int kRetryBudget = 7;
   uint64_t salt = MixHash64(
       qid ^ (frame_id << 20) ^
       (static_cast<uint64_t>(transport_->self()) << 48));
-  Duration delay = RetryDelay(options_.retry_initial, options_.retry_max,
-                              options_.retry_jitter, salt, f->attempts);
+  Duration delay = RetryDelay(kRetryInitial, kRetryMax, kRetryJitter, salt,
+                              f->attempts);
   ScheduleEngineTimer(delay, [this, qid, frame_id] {
     auto qit = queries_.find(qid);
     if (qit == queries_.end()) return;
     ActiveQuery* q = qit->second.get();
     ReliableOutbox::Frame* fr = q->outbox.Get(frame_id);
     if (fr == nullptr || q->ended) return;
-    if (fr->attempts >= options_.retry_budget) {
+    if (fr->attempts >= kRetryBudget) {
       // Lost for good: charge it loudly instead of pretending.
       bool was_data = !fr->control;
       pending_result_bytes_ -= fr->bytes.size();
@@ -832,12 +819,12 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq, uint64_t epoch) {
   // A recently changed overlay neighborhood means this node's "everyone"
   // may be one side of a partition (the minority ring's cover wave returns
   // complete over 3 nodes of 10): no global exactness claim until the view
-  // has been stable for a detection window.
+  // has been stable for a detection window — sized so a one-shot query
+  // issued within ~window - result_wait of a detected split can never
+  // certify before its result window closes.
+  constexpr Duration kCertifyStabilityWindow = Seconds(30);
   const TimePoint topo = router_->last_topology_change();
-  if (options_.certify_stability_window > 0 && topo != 0 &&
-      sim_->now() - topo < options_.certify_stability_window) {
-    return;
-  }
+  if (topo != 0 && sim_->now() - topo < kCertifyStabilityWindow) return;
   // Budget degradation anywhere bars exactness, and the origin's own
   // scheduled scans must have drained — its loopback rows are part of the
   // answer being certified.
@@ -913,7 +900,7 @@ bool QueryEngine::ChargeRehashPuts(uint64_t qid, uint64_t n) {
   auto it = queries_.find(qid);
   if (it == queries_.end() || it->second->ended) return false;
   ActiveQuery* aq = it->second.get();
-  const QueryBudget budget = EffectiveBudget(*aq);
+  const QueryBudget& budget = aq->env.plan.budget;
   if (budget.max_rehash_puts == 0) return true;  // unlimited
   if (aq->budget_tripped || aq->rehash_puts + n > budget.max_rehash_puts) {
     TripBudget(aq);
@@ -922,20 +909,6 @@ bool QueryEngine::ChargeRehashPuts(uint64_t qid, uint64_t n) {
   }
   aq->rehash_puts += n;
   return true;
-}
-
-QueryBudget QueryEngine::EffectiveBudget(const ActiveQuery& aq) const {
-  QueryBudget b = aq.env.plan.budget;
-  if (b.max_result_bytes == 0) {
-    b.max_result_bytes = options_.default_budget.max_result_bytes;
-  }
-  if (b.max_rehash_puts == 0) {
-    b.max_rehash_puts = options_.default_budget.max_rehash_puts;
-  }
-  if (b.max_result_rows == 0) {
-    b.max_result_rows = options_.default_budget.max_result_rows;
-  }
-  return b;
 }
 
 void QueryEngine::TripBudget(ActiveQuery* aq) {
@@ -994,18 +967,19 @@ void QueryEngine::ArmMemberLifecycle(ActiveQuery* aq) {
   }
   // Origin-liveness lease: a member whose origin crashed (no kQueryEnd, no
   // kCancel, no plan refreshes) reclaims its stage state and exchange
-  // namespaces itself, well before the storage TTL would.
+  // namespaces itself, well before the storage TTL would. The lease is
+  // kMemberLease of grace beyond the query's expected end.
+  constexpr Duration kMemberLease = Seconds(20);
   TimePoint lease;
   if (aq->env.plan.every > 0) {
     // Refreshed on every plan re-broadcast: one missed period plus the
     // result window plus slack means the origin is gone.
     lease = sim_->now() + aq->env.plan.every + options_.result_wait +
-            options_.member_lease;
+            kMemberLease;
   } else if (aq->runtime != nullptr && aq->runtime->has_recurse()) {
-    lease = aq->env.issued_at + options_.recursion_deadline +
-            options_.member_lease;
+    lease = aq->env.issued_at + options_.recursion_deadline + kMemberLease;
   } else {
-    lease = aq->env.issued_at + options_.result_wait + options_.member_lease;
+    lease = aq->env.issued_at + options_.result_wait + kMemberLease;
   }
   if (aq->lease_timer != 0) sim_->Cancel(aq->lease_timer);
   aq->lease_timer = ScheduleEngineTimerAt(lease, [this, qid] {
@@ -1103,7 +1077,10 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
     ++stats_.admission_refusals;
     return Status::Busy("admission: live-query budget exhausted");
   }
-  if (plan.graph.nodes.size() > options_.max_plan_operators) {
+  // Fan-out budget: plans with more operators than this are refused (a
+  // PIQL-style bounded-cost gate).
+  constexpr size_t kMaxPlanOperators = 64;
+  if (plan.graph.nodes.size() > kMaxPlanOperators) {
     ++stats_.admission_refusals;
     return Status::Busy("admission: plan exceeds operator budget");
   }
@@ -1127,11 +1104,8 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   aq->cb = std::move(cb);
   // Resolve the deadline once, at the origin: the wire carries the absolute
   // time so every member counts down against the same clock.
-  Duration deadline_after = aq->env.plan.deadline > 0
-                                ? aq->env.plan.deadline
-                                : options_.query_deadline;
-  if (deadline_after > 0) {
-    aq->env.deadline = aq->env.issued_at + deadline_after;
+  if (aq->env.plan.deadline > 0) {
+    aq->env.deadline = aq->env.issued_at + aq->env.plan.deadline;
   }
   aq->runtime =
       std::make_unique<ops::QueryRuntime>(this, &aq->env, /*is_origin=*/true);
@@ -1290,7 +1264,9 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
       dht_->local_store()->DropNamespace(ns);
     }
   }
-  ScheduleEngineTimer(options_.cleanup_delay, [this, qid] { GcQuery(qid); });
+  // Ended queries linger as husks this long to absorb stragglers.
+  constexpr Duration kCleanupDelay = Seconds(30);
+  ScheduleEngineTimer(kCleanupDelay, [this, qid] { GcQuery(qid); });
 }
 
 void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
@@ -1508,11 +1484,21 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
   }
   switch (static_cast<MsgType>(type)) {
     case MsgType::kResultTuple:
-    case MsgType::kPartialAgg: {
+    case MsgType::kPartialAgg:
+    case MsgType::kResultBatch:
+    case MsgType::kPartialBatch: {
+      MsgType mt = static_cast<MsgType>(type);
+      bool is_batch =
+          mt == MsgType::kResultBatch || mt == MsgType::kPartialBatch;
+      bool is_partial =
+          mt == MsgType::kPartialAgg || mt == MsgType::kPartialBatch;
+      // Decode: a row frame carries one tuple, a batch frame a RowBatch.
       uint64_t qid = 0, epoch = 0;
+      exec::RowBatch b;
       Tuple t;
-      if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
-          !catalog::DeserializeTuple(r, &t).ok()) {
+      if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok()) return;
+      if (is_batch ? !exec::RowBatch::Decode(r, &b).ok()
+                   : !catalog::DeserializeTuple(r, &t).ok()) {
         return;
       }
       // Epochs count periods since issue time; anything near the integer
@@ -1522,48 +1508,21 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       auto it = queries_.find(qid);
       if (it == queries_.end()) return;
       ActiveQuery* aq = it->second.get();
-      bool is_partial = static_cast<MsgType>(type) == MsgType::kPartialAgg;
       if (is_partial) {
         ++stats_.partial_msgs_received;
       } else {
         ++stats_.result_msgs_received;
       }
-      if (aq->is_origin) {
-        OriginAccept(aq, epoch, from, t, is_partial);
-      } else if (is_partial && !aq->ended && aq->runtime != nullptr) {
-        // Interior tree node: combine if the window is open, else relay
-        // upward unmodified (late child).
-        aq->runtime->OnRemotePartial(epoch, t);
-      }
-      break;
-    }
-    case MsgType::kResultBatch:
-    case MsgType::kPartialBatch: {
-      uint64_t qid = 0, epoch = 0;
-      exec::RowBatch b;
-      if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
-          !exec::RowBatch::Decode(r, &b).ok()) {
-        return;
-      }
-      if (epoch >= (1ull << 62)) return;  // same spoof guard as row frames
-      auto it = queries_.find(qid);
-      if (it == queries_.end()) return;
-      ActiveQuery* aq = it->second.get();
-      bool is_partial = static_cast<MsgType>(type) == MsgType::kPartialBatch;
-      if (is_partial) {
-        ++stats_.partial_msgs_received;
-      } else {
-        ++stats_.result_msgs_received;
-      }
-      ++stats_.batch_frames_received;
-      // Unpack and treat each row exactly like its row-frame twin — one
-      // frame, N accept/combine decisions.
-      Tuple t;
-      for (size_t i = 0; i < b.num_rows(); ++i) {
-        b.ToTuple(i, &t);
+      if (is_batch) ++stats_.batch_frames_received;
+      // One accept/combine decision per row, whichever frame carried it.
+      size_t n = is_batch ? b.num_rows() : 1;
+      for (size_t i = 0; i < n; ++i) {
+        if (is_batch) b.ToTuple(i, &t);
         if (aq->is_origin) {
           OriginAccept(aq, epoch, from, t, is_partial);
         } else if (is_partial && !aq->ended && aq->runtime != nullptr) {
+          // Interior tree node: combine if the window is open, else relay
+          // upward unmodified (late child).
           aq->runtime->OnRemotePartial(epoch, t);
         }
       }
@@ -1645,7 +1604,7 @@ void QueryEngine::OriginAccept(ActiveQuery* aq, uint64_t epoch,
   // Result-window budget: the origin stops accumulating past the row cap
   // and flags the trip — callers get a bounded prefix declared degraded,
   // never an unbounded buffer or a silent truncation.
-  const uint64_t row_cap = EffectiveBudget(*aq).max_result_rows;
+  const uint64_t row_cap = aq->env.plan.budget.max_result_rows;
   if (row_cap > 0 && es.rows.size() >= row_cap) {
     TripBudget(aq);
     ++stats_.budget_rows_dropped;

@@ -127,10 +127,6 @@ class QueryEngine : public ops::StageHost {
   const EngineOptions& engine_options() const override { return options_; }
   EngineStats* mutable_stats() override { return &stats_; }
   int QueryDepth(uint64_t qid) const override;
-  void DeliverResult(uint64_t qid, uint64_t epoch,
-                     const catalog::Tuple& t) override;
-  void DeliverPartial(uint64_t qid, uint64_t epoch, const catalog::Tuple& t,
-                      ExchangeKind route) override;
   void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                           const exec::RowBatch& b) override;
   void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
@@ -169,6 +165,10 @@ class QueryEngine : public ops::StageHost {
                     const dht::StoredItem& item);
 
   // -- reliable result plane -------------------------------------------------
+  /// The one-row encoding of a result or partial batch: a kResultTuple /
+  /// kPartialAgg row frame, sent reliably to `to`.
+  void SendRowFrame(ActiveQuery* aq, sim::HostId to, MsgType type,
+                    uint64_t epoch, const catalog::Tuple& t);
   /// Wraps `inner` (a complete direct message) in an acked kFrame envelope
   /// and owns its retransmit schedule.
   void SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
@@ -217,9 +217,6 @@ class QueryEngine : public ops::StageHost {
   void FallbackToScan(ActiveQuery* aq);
 
   // -- per-query budgets -------------------------------------------------------
-  /// The plan's budget with engine-wide defaults filled into unset (0)
-  /// dimensions.
-  QueryBudget EffectiveBudget(const ActiveQuery& aq) const;
   /// Marks the query budget-tripped on this node (once): the scheduler's
   /// abort probe stops its scans, and a member tells the origin via
   /// kBudgetTrip so Completeness reports the degradation.
@@ -251,8 +248,8 @@ class QueryEngine : public ops::StageHost {
 
   uint64_t next_query_seq_ = 1;
   uint64_t publish_seq_ = 1;
-  /// Every query this node knows, including ended husks kept for
-  /// cleanup_delay to absorb stragglers. Iterated only for local cleanup
+  /// Every query this node knows, including ended husks kept a cleanup
+  /// delay to absorb stragglers. Iterated only for local cleanup
   /// (Stop) and the teardown audit, never in an order that reaches the wire.
   std::unordered_map<uint64_t, std::unique_ptr<ActiveQuery>> queries_;
   /// Entries of queries_ that have not ended: the admission gate's count,

@@ -14,6 +14,8 @@ namespace {
 /// with the side byte (0 or 1), so the marker is unambiguous and old
 /// decoders reject batch frames cleanly ("bad exchange side").
 constexpr uint8_t kBatchFrameMarker = 0x42;
+/// TTL on rehashed temp tuples (per-query exchange namespaces).
+constexpr Duration kTempTtl = Seconds(90);
 }  // namespace
 
 RehashExchange::RehashExchange(ops::StageHost* host, uint64_t qid,
@@ -55,7 +57,7 @@ void RehashExchange::PublishValue(const std::string& resource,
   // owner-side arrival dedupe absorbs any retry duplicates.
   EngineStats* stats = host_->mutable_stats();
   host_->dht()->PutEx(dht::DhtKey{ns_, resource, instance}, std::move(value),
-                      host_->engine_options().temp_ttl, /*replicate=*/false,
+                      kTempTtl, /*replicate=*/false,
                       [stats](Status s) {
                         if (!s.ok()) ++stats->rehash_put_failures;
                       });

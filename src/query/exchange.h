@@ -9,8 +9,8 @@
 //   kTree     -> TreeCombiner: the per-epoch combine box an interior
 //                dissemination-tree node runs over its children's partials
 //                before forwarding one merged partial upward.
-//   kToOrigin -> no object needed: StageHost::DeliverResult/DeliverPartial
-//                route directly.
+//   kToOrigin -> no object needed: StageHost::DeliverResultBatch/
+//                DeliverPartialBatch route directly.
 //
 // Exchanges are owned by the per-query runtime and die with it; in-flight
 // DHT tuples carry their own TTL (soft state all the way down).

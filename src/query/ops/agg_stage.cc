@@ -18,11 +18,16 @@ AggStage::AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
       streaming_(streaming),
       route_(node->out) {}
 
+namespace {
+/// Tree depth the hold schedule assumes: a node at depth d holds partials
+/// for agg_hold_base * (kAggAssumedDepth - d), so children flush before
+/// parents.
+constexpr int kAggAssumedDepth = 8;
+}  // namespace
+
 Duration AggStage::HoldDelay() const {
-  const EngineOptions& o = host_->engine_options();
-  int levels_above =
-      std::max(1, o.agg_assumed_depth - host_->QueryDepth(qid_));
-  return o.agg_hold_base * levels_above;
+  int levels_above = std::max(1, kAggAssumedDepth - host_->QueryDepth(qid_));
+  return host_->engine_options().agg_hold_base * levels_above;
 }
 
 void AggStage::DeliverAll(uint64_t epoch,
@@ -32,8 +37,6 @@ void AggStage::DeliverAll(uint64_t epoch,
   // untouched.
   host_->DeliverPartialBatch(qid_, epoch, partials, route_);
 }
-
-// -- scan-fed ---------------------------------------------------------------
 
 void AggStage::BeginEpoch(uint64_t epoch) {
   scan_epoch_ = epoch;
@@ -46,11 +49,15 @@ bool AggStage::PushRawBatch(exec::RowBatch& b) {
                                                  node_->aggs,
                                                  /*finalize=*/false);
   }
+  if (streaming_ && !stream_timer_armed_) {
+    stream_timer_armed_ = true;
+    host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_, kStreamFlushToken);
+  }
   vgb_->PushBatch(b);
   return true;
 }
 
-void AggStage::EndScan() {
+void AggStage::Flush() {
   std::vector<Tuple> partials;
   if (vgb_ != nullptr) {
     // VectorGroupBy drains in GroupByOp's sorted group order.
@@ -67,31 +74,6 @@ void AggStage::EndScan() {
   // Tree strategy: hold local partials in this node's combiner so children
   // flush before parents.
   for (const Tuple& p : partials) FoldIntoCombiner(scan_epoch_, p);
-}
-
-// -- join-fed ---------------------------------------------------------------
-
-bool AggStage::PushStreaming(const Tuple& t) {
-  if (streaming_op_ == nullptr) {
-    streaming_op_ = std::make_unique<exec::GroupByOp>(
-        node_->group_cols, node_->aggs, exec::AggPhase::kPartial);
-  }
-  if (!stream_timer_armed_) {
-    stream_timer_armed_ = true;
-    host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_, kStreamFlushToken);
-  }
-  streaming_op_->Push(t, 0);
-  return true;
-}
-
-void AggStage::FlushStreaming() {
-  stream_timer_armed_ = false;
-  std::vector<Tuple> partials = DrainGroupBy(std::move(streaming_op_));
-  if (route_ != ExchangeKind::kTree || is_origin_) {
-    DeliverAll(0, partials);
-    return;
-  }
-  for (const Tuple& p : partials) FoldIntoCombiner(0, p);
 }
 
 // -- tree combine -----------------------------------------------------------
@@ -138,12 +120,13 @@ void AggStage::OnRemotePartial(uint64_t epoch, const Tuple& t) {
   }
   // Epochal: the combine window for this epoch already closed (or never
   // opened here) — relay upward unmodified, like a late child.
-  host_->DeliverPartial(qid_, epoch, t, route_);
+  host_->DeliverPartialBatch(qid_, epoch, {t}, route_);
 }
 
 void AggStage::OnTimer(uint64_t token) {
   if (token == kStreamFlushToken) {
-    FlushStreaming();
+    stream_timer_armed_ = false;
+    Flush();
     return;
   }
   FlushCombiner(token - 1);

@@ -1,15 +1,16 @@
 // AggStage: the member-side half of distributed aggregation — the
 // kPartialAgg opgraph node plus the kTree exchange's combine duty.
 //
-// Two input protocols share one stage:
-//  - Scan-fed (epochal): BeginEpoch / PushRawBatch / EndScan once per epoch.
-//    Local rows partial-aggregate, then flush by the node's output
-//    exchange: kTree folds into this node's TreeCombiner (held until
-//    children have flushed), anything else ships partials immediately.
+// Raw rows arrive through PushRawBatch and partial-aggregate in one
+// VectorGroupBy; a flush drains it and routes the partials by the node's
+// output exchange: kTree folds into this node's TreeCombiner (held until
+// children have flushed), anything else ships partials immediately. What
+// triggers the flush depends on the producer:
+//  - Scan-fed (epochal): BeginEpoch / PushRawBatch / Flush once per epoch.
 //  - Join-fed (streaming): joined rows arrive continuously at rendezvous
-//    nodes; PushStreaming partial-aggregates them and flushes on a hold
-//    timer, so aggregation happens in-network at the join site instead of
-//    shipping raw rows to the origin.
+//    nodes as one-row batches; the first batch arms a hold timer whose
+//    expiry flushes, so aggregation happens in-network at the join site
+//    instead of shipping raw rows to the origin.
 //
 // Either way, partials relayed through this node as a dissemination-tree
 // parent (OnRemotePartial) merge into the open combiner, or — matching the
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "exec/operators.h"
 #include "query/exchange.h"
 #include "query/ops/stage.h"
 
@@ -38,16 +38,16 @@ class AggStage : public Stage {
   AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
            const OpNode* node, bool is_origin, bool streaming);
 
-  // -- scan-fed (epochal) ----------------------------------------------------
   void BeginEpoch(uint64_t epoch);
-  /// Folds every live row of `b` into the epoch's grouped partial states
-  /// via VectorGroupBy (BatchEmitFn shape). Its drain matches GroupByOp's
-  /// row for row (the vectorized differential suite's contract).
+  /// Folds every live row of `b` into the grouped partial states via
+  /// VectorGroupBy (BatchEmitFn shape). Its drain matches GroupByOp's row
+  /// for row, one-row batches included (the vectorized differential
+  /// suite's contract). Join-fed: the first batch arms the hold timer.
   bool PushRawBatch(exec::RowBatch& b);
-  void EndScan();
-
-  // -- join-fed (streaming) --------------------------------------------------
-  bool PushStreaming(const catalog::Tuple& t);
+  /// Drains the accumulator, then delivers its partials or — a tree
+  /// member — folds them into the combiner. Scan-fed: called once the
+  /// epoch's scans finished; join-fed: the hold timer's expiry.
+  void Flush();
 
   /// A partial relayed to this node as a tree parent.
   void OnRemotePartial(uint64_t epoch, const catalog::Tuple& t);
@@ -61,7 +61,6 @@ class AggStage : public Stage {
   void DeliverAll(uint64_t epoch, const std::vector<catalog::Tuple>& partials);
   void FoldIntoCombiner(uint64_t epoch, const catalog::Tuple& partial);
   void FlushCombiner(uint64_t epoch);
-  void FlushStreaming();
 
   StageHost* host_;
   uint64_t qid_;
@@ -71,11 +70,10 @@ class AggStage : public Stage {
   bool streaming_;
   ExchangeKind route_;  ///< the node's output exchange (kTree or kToOrigin)
 
+  /// Epoch of the rows being accumulated (always 0 when join-fed).
   uint64_t scan_epoch_ = 0;
-  /// The epoch's accumulator; null until its first batch arrives.
+  /// The accumulator; null until the first batch after a flush arrives.
   std::unique_ptr<exec::VectorGroupBy> vgb_;
-
-  std::unique_ptr<exec::GroupByOp> streaming_op_;
   bool stream_timer_armed_ = false;
 
   std::unique_ptr<TreeCombiner> combiner_;

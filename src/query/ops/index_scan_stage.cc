@@ -53,8 +53,9 @@ index::PhtCursor::GetFn IndexScanStage::MakeGetFn(uint64_t token) {
   };
 }
 
-index::PhtCursor::RowFn IndexScanStage::MakeRowFn(const EmitFn& emit) {
-  EmitFn emit_copy = emit;
+index::PhtCursor::RowFn IndexScanStage::MakeRowFn(
+    const BatchEmitFn& emit) {
+  BatchEmitFn emit_copy = emit;
   return [this, emit_copy](const index::PhtEntry& entry,
                            uint64_t instance) {
     // Fan-out cursors share the upper trie path, so residual entries at
@@ -66,17 +67,18 @@ index::PhtCursor::RowFn IndexScanStage::MakeRowFn(const EmitFn& emit) {
     }
     if (t.size() != node_->schema.num_columns()) return true;
     ++host_->mutable_stats()->index_rows;
-    return emit_copy(t);
+    return EmitRow(emit_copy, t);
   };
 }
 
 void IndexScanStage::StartCursor(uint64_t lo, uint64_t hi,
-                                 uint64_t max_leaves, const EmitFn& emit) {
+                                 uint64_t max_leaves,
+                                 const BatchEmitFn& emit) {
   cursors_.push_back(std::make_unique<index::PhtCursor>(
       MakeGetFn(run_token_), lo, hi, max_leaves));
   index::PhtCursor* cursor = cursors_.back().get();
   ++cursors_pending_;
-  EmitFn emit_copy = emit;
+  BatchEmitFn emit_copy = emit;
   cursor->Run(MakeRowFn(emit),
               [this, cursor, emit_copy](index::PhtCursor::Outcome outcome,
                                         Status /*s*/) {
@@ -84,7 +86,7 @@ void IndexScanStage::StartCursor(uint64_t lo, uint64_t hi,
               });
 }
 
-void IndexScanStage::RunEpoch(const EmitFn& emit) {
+void IndexScanStage::RunEpoch(const BatchEmitFn& emit) {
   ++run_token_;
   cursors_.clear();  // previous epoch's walk (if any) is token-invalidated
   cursors_pending_ = 0;
@@ -101,7 +103,7 @@ void IndexScanStage::RunEpoch(const EmitFn& emit) {
 
 void IndexScanStage::OnCursorDone(index::PhtCursor* cursor,
                                   index::PhtCursor::Outcome outcome,
-                                  const EmitFn& emit) {
+                                  const BatchEmitFn& emit) {
   EngineStats* stats = host_->mutable_stats();
   stats->index_probes += cursor->stats().probes;
   stats->index_leaves += cursor->stats().leaves;
@@ -124,7 +126,7 @@ void IndexScanStage::OnCursorDone(index::PhtCursor* cursor,
   }
 }
 
-void IndexScanStage::FanOut(uint64_t resume, const EmitFn& emit) {
+void IndexScanStage::FanOut(uint64_t resume, const BatchEmitFn& emit) {
   // Partition the unvisited remainder by the leaf density the scout saw:
   // it covered (resume - lo) of encoded keyspace with kScoutLeaves leaves,
   // so size sub-ranges to a handful of leaves' worth each, capped at the

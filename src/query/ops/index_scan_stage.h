@@ -5,9 +5,9 @@
 // ONLY at the query origin: the cursor contacts the DHT owners of the trie
 // nodes covering the predicate's range, so the set of machines doing work
 // scales with the answer instead of the overlay. Rows stream into the same
-// emit chain a local scan would feed (filter/project fused, kToOrigin loops
-// straight into origin collection), asynchronously across the epoch's
-// result window.
+// batch chain a local scan would feed, one row per batch (filter/project
+// fused, kToOrigin loops straight into origin collection), asynchronously
+// across the epoch's result window.
 //
 // All cursor continuations re-enter through StageHost::PostToStage, so a
 // query that ends (or a runtime replaced by fallback) mid-walk simply drops
@@ -45,7 +45,7 @@ class IndexScanStage : public Stage {
   /// over the remainder, partitioned by the leaf density the scout
   /// observed, so broad ranges trade O(answer) sequential round-trips for
   /// O(answer / fan-out) and still close within the result window.
-  void RunEpoch(const EmitFn& emit);
+  void RunEpoch(const BatchEmitFn& emit);
 
   /// True once the bounds encode for the declared column type. A plan whose
   /// bounds cannot encode (hostile or type-incoherent) reports !ok
@@ -62,12 +62,13 @@ class IndexScanStage : public Stage {
   static constexpr int kFanOut = 16;
 
   index::PhtCursor::GetFn MakeGetFn(uint64_t token);
-  index::PhtCursor::RowFn MakeRowFn(const EmitFn& emit);
+  index::PhtCursor::RowFn MakeRowFn(const BatchEmitFn& emit);
   void StartCursor(uint64_t lo, uint64_t hi, uint64_t max_leaves,
-                   const EmitFn& emit);
+                   const BatchEmitFn& emit);
   void OnCursorDone(index::PhtCursor* cursor,
-                    index::PhtCursor::Outcome outcome, const EmitFn& emit);
-  void FanOut(uint64_t resume, const EmitFn& emit);
+                    index::PhtCursor::Outcome outcome,
+                    const BatchEmitFn& emit);
+  void FanOut(uint64_t resume, const BatchEmitFn& emit);
   void ReportDone(bool ok);
 
   StageHost* host_;

@@ -419,7 +419,7 @@ void JoinStage::HandleJoinOutput(const Tuple& joined) {
     send_fetch(rhost, rrow, 1);
     return;
   }
-  if (downstream_) downstream_(joined);
+  if (downstream_) EmitRow(downstream_, joined);
 }
 
 void JoinStage::OnFetchReq(uint32_t /*from*/, Reader* r) {
@@ -471,7 +471,7 @@ void JoinStage::OnFetchResp(Reader* r) {
                   pm->second.right.end());
     pending_matches_.erase(pm);
     // Route through the standard full-row path (residual + project).
-    if (downstream_) downstream_(joined);
+    if (downstream_) EmitRow(downstream_, joined);
   }
 }
 

@@ -52,9 +52,11 @@ class JoinStage : public Stage {
             const OpNode* right_scan, Duration window, bool is_origin,
             uint32_t origin_host);
 
-  /// Receives full joined rows (the runtime attaches the residual filter /
-  /// projection / aggregation chain here).
-  void SetDownstream(EmitFn fn) { downstream_ = std::move(fn); }
+  /// Receives full joined rows, one-row batch each (the runtime attaches
+  /// the residual filter / projection / aggregation chain here).
+  void SetDownstream(BatchEmitFn fn) { downstream_ = std::move(fn); }
+
+  uint32_t node_id() const { return node_id_; }
 
   /// Exchange namespace this stage consumes (empty for fetch-matches).
   const std::string& ns() const;
@@ -100,7 +102,7 @@ class JoinStage : public Stage {
   Duration window_;
   bool is_origin_;
   uint32_t origin_host_;
-  EmitFn downstream_;
+  BatchEmitFn downstream_;
 
   std::unique_ptr<RehashExchange> exchange_;  // null for fetch-matches
   exec::Dataflow flow_;

@@ -61,7 +61,7 @@ void RecursiveStage::OnArrival(const dht::StoredItem& item) {
   }
 
   // Report (src, dst, hops) to the origin through the outer pipeline.
-  if (downstream_) downstream_(reach);
+  if (downstream_) EmitRow(downstream_, reach);
 
   // Expand: reach(s, d, h) ⋈ edge(d, w) -> reach(s, w, h+1).
   int64_t hops = 0;

@@ -30,8 +30,10 @@ class RecursiveStage : public Stage {
                  const OpNode* node, const OpNode* edge_scan,
                  Duration window);
 
-  /// Receives deduplicated (src, dst, hops) tuples.
-  void SetDownstream(EmitFn fn) { downstream_ = std::move(fn); }
+  /// Receives deduplicated (src, dst, hops) tuples, one-row batch each.
+  void SetDownstream(BatchEmitFn fn) { downstream_ = std::move(fn); }
+
+  uint32_t node_id() const { return node_id_; }
 
   const std::string& ns() const { return exchange_.ns(); }
 
@@ -55,7 +57,7 @@ class RecursiveStage : public Stage {
   /// Reach tuples travel like any rehash traffic, keyed on the canonical
   /// (src, dst) resource; only the namespace name is bespoke.
   RehashExchange exchange_;
-  EmitFn downstream_;
+  BatchEmitFn downstream_;
   std::unordered_set<std::string> reach_seen_;  // dedup by canonical resource
 };
 

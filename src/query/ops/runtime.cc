@@ -141,112 +141,39 @@ Status QueryRuntime::Init() {
     local_cap_ = collect_->limit;
   }
 
-  // Wire downstream chains for streaming producers.
+  // Streaming producers feed the same compiled batch chains as epochal
+  // scans, one row per batch as each row is produced.
   for (JoinStage* js : joins_) {
-    // A join's node id is recoverable from its namespace map entry; walk
-    // the graph instead to stay simple.
-    for (uint32_t id = 0; id < graph_->size(); ++id) {
-      if (stages_[id].get() == js) js->SetDownstream(BuildEmitFrom(id));
-    }
+    js->SetDownstream(BuildBatchEmitFrom(js->node_id()));
   }
   if (recurse_ != nullptr) {
-    for (uint32_t id = 0; id < graph_->size(); ++id) {
-      if (stages_[id].get() == recurse_) {
-        recurse_->SetDownstream(BuildEmitFrom(id));
-      }
-    }
+    recurse_->SetDownstream(BuildBatchEmitFrom(recurse_->node_id()));
   }
   return Status::OK();
 }
 
-EmitFn QueryRuntime::BuildEmitFrom(uint32_t producer_id) {
-  const OpNode& n = graph_->nodes[producer_id];
-  switch (n.out) {
-    case ExchangeKind::kToOrigin: {
-      if (epochal_) {
-        return [this](const Tuple& t) {
-          host_->DeliverResult(qid_, current_epoch_, t);
-          if (local_cap_ < 0) return true;
-          return ++epoch_sent_ < local_cap_;
-        };
-      }
-      return [this](const Tuple& t) {
-        host_->DeliverResult(qid_, 0, t);
-        return true;
-      };
-    }
-    case ExchangeKind::kRehash: {
-      int cons = graph_->ConsumerOf(producer_id);
-      if (cons < 0 || graph_->nodes[cons].type != OpType::kJoin) {
-        return [](const Tuple&) { return true; };
-      }
-      JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
-      int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
-      return [js, side](const Tuple& t) {
-        js->PublishUpstream(side, t);
-        return true;
-      };
-    }
-    case ExchangeKind::kTree:
-      // Tree routing happens inside AggStage; a raw producer can't emit
-      // into a tree edge.
-      return [](const Tuple&) { return true; };
-    case ExchangeKind::kLocal:
-      break;
-  }
-
-  int cons_id = graph_->ConsumerOf(producer_id);
-  if (cons_id < 0) {
-    return [](const Tuple&) { return true; };
-  }
-  const OpNode& c = graph_->nodes[cons_id];
-  switch (c.type) {
-    case OpType::kFilter: {
-      EmitFn next = BuildEmitFrom(cons_id);
-      exec::ExprPtr pred = c.predicate;
-      return [pred, next](const Tuple& t) {
-        bool pass = false;
-        if (!exec::EvalPredicate(*pred, t, &pass).ok() || !pass) return true;
-        return next(t);
-      };
-    }
-    case OpType::kProject: {
-      EmitFn next = BuildEmitFrom(cons_id);
-      std::vector<exec::ExprPtr> exprs = c.exprs;
-      return [exprs, next](const Tuple& t) {
-        Tuple out;
-        out.reserve(exprs.size());
-        for (const auto& e : exprs) {
-          Value v;
-          if (!e->Eval(t, &v).ok()) v = Value::Null();
-          out.push_back(std::move(v));
-        }
-        return next(out);
-      };
-    }
-    case OpType::kPartialAgg: {
-      // Only joins feed aggregation tuple by tuple: epochal scans reach
-      // AggStage through the batch plane, and index scans cannot feed it.
-      AggStage* as = static_cast<AggStage*>(stages_[cons_id].get());
-      return [as](const Tuple& t) { return as->PushStreaming(t); };
-    }
-    default:
-      // Origin-side nodes (final-agg, collect) are fed through exchanges,
-      // never local member edges.
-      return [](const Tuple&) { return true; };
-  }
+bool EmitRow(const BatchEmitFn& emit, const Tuple& t) {
+  std::vector<ValueType> types;
+  types.reserve(t.size());
+  for (const Value& v : t) types.push_back(v.type());
+  exec::RowBatchBuilder builder(std::move(types));
+  builder.Append(t);
+  exec::RowBatch b = builder.Take();
+  return emit(b);
 }
 
 BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
   const OpNode& n = graph_->nodes[producer_id];
   switch (n.out) {
     case ExchangeKind::kToOrigin: {
+      // Join and recursion graphs never start an epoch: they deliver under
+      // epoch 0 with no LIMIT cap.
       return [this](exec::RowBatch& b) {
         if (local_cap_ >= 0) {
           int64_t room = local_cap_ - epoch_sent_;
           if (room <= 0) return false;
           // LIMIT pushdown mid-batch: the tail past the cap is never
-          // delivered, exactly like the tuple sink stopping at row `cap`.
+          // delivered.
           if (static_cast<int64_t>(b.ActiveRows()) > room) {
             b.TruncateLive(static_cast<size_t>(room));
           }
@@ -256,10 +183,27 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
         return local_cap_ < 0 || epoch_sent_ < local_cap_;
       };
     }
-    case ExchangeKind::kRehash:
+    case ExchangeKind::kRehash: {
+      // Chained multi-way joins: every live row enters the consuming
+      // join's exchange on this producer's side.
+      int cons = graph_->ConsumerOf(producer_id);
+      if (cons < 0 || graph_->nodes[cons].type != OpType::kJoin) {
+        return [](exec::RowBatch&) { return true; };
+      }
+      JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
+      int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
+      return [js, side](exec::RowBatch& b) {
+        Tuple t;
+        for (size_t i = 0; i < b.ActiveRows(); ++i) {
+          b.ToTuple(b.RowId(i), &t);
+          js->PublishUpstream(side, t);
+        }
+        return true;
+      };
+    }
     case ExchangeKind::kTree:
-      // An epochal chain never feeds a join, and tree edges are routed
-      // inside AggStage: nothing to emit, like the tuple chain.
+      // Tree routing happens inside AggStage; a raw producer can't emit
+      // into a tree edge.
       return [](exec::RowBatch&) { return true; };
     case ExchangeKind::kLocal:
       break;
@@ -302,8 +246,7 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
           exec::Column col;
           kernel->EvalColumn(in, &col, &err);
           if (!err.none()) {
-            // Rows whose scalar evaluation would error project as NULL,
-            // matching the tuple chain.
+            // Rows whose scalar evaluation would error project as NULL.
             exec::Column fixed(col.kind());
             for (size_t i = 0; i < rows; ++i) {
               if (err.Get(i)) {
@@ -352,12 +295,12 @@ void QueryRuntime::StartEpoch(uint64_t epoch) {
   epoch_sent_ = 0;
   if (agg_ != nullptr) agg_->BeginEpoch(epoch);
   // Each scan pass goes to the node's QueryScheduler; the epoch finishes
-  // (EndScan + the engine's scans-done gate) only when the last one
+  // (the agg flush + the engine's scans-done gate) only when the last one
   // completes. Queries with no epochal scans (pure index plans, join graphs)
   // complete the gate immediately.
   pending_epoch_scans_ = epochal_scans_.size();
   if (pending_epoch_scans_ == 0) {
-    if (agg_ != nullptr) agg_->EndScan();
+    if (agg_ != nullptr) agg_->Flush();
     host_->OnEpochScansDone(qid_, epoch);
   } else {
     for (uint32_t id : epochal_scans_) {
@@ -369,7 +312,7 @@ void QueryRuntime::StartEpoch(uint64_t epoch) {
   if (is_origin_) {
     for (uint32_t id : index_scans_) {
       static_cast<IndexScanStage*>(stages_[id].get())
-          ->RunEpoch(BuildEmitFrom(id));
+          ->RunEpoch(BuildBatchEmitFrom(id));
     }
   }
 }
@@ -392,7 +335,7 @@ void QueryRuntime::OnEpochScanDone(uint64_t epoch) {
   // double-close the current epoch.
   if (epoch != current_epoch_ || pending_epoch_scans_ == 0) return;
   if (--pending_epoch_scans_ == 0) {
-    if (agg_ != nullptr) agg_->EndScan();
+    if (agg_ != nullptr) agg_->Flush();
     host_->OnEpochScansDone(qid_, epoch);
   }
 }
@@ -424,7 +367,7 @@ void QueryRuntime::OnRemotePartial(uint64_t epoch, const Tuple& t) {
     return;
   }
   // No aggregation stage on this graph: forward straight to the origin.
-  host_->DeliverPartial(qid_, epoch, t, ExchangeKind::kToOrigin);
+  host_->DeliverPartialBatch(qid_, epoch, {t}, ExchangeKind::kToOrigin);
 }
 
 void QueryRuntime::OnFetchReq(uint32_t from, Reader* r) {

@@ -2,10 +2,12 @@
 //
 // Built from the plan's opgraph at install time, it instantiates the
 // stages this node participates in (joins, partial aggregation, recursion),
-// compiles the kLocal edges into direct call chains (filter/project fused
-// into their producer's emit path), and routes engine events — exchange
-// arrivals, relayed partials, fetch/Bloom traffic, timers — to the right
-// stage. The engine owns one runtime per active query and destroys it at
+// compiles each producer's downstream edges into one RowBatch chain
+// (kernel filters and projections fused into the producer's emit path), and
+// routes engine events — exchange arrivals, relayed partials, fetch/Bloom
+// traffic, timers — to the right stage. Every producer feeds that one
+// chain: epochal scans batch by batch, join output, recursion reach tuples
+// and index cursor rows one row per batch. The engine owns one runtime per active query and destroys it at
 // query GC.
 
 #ifndef PIER_QUERY_OPS_RUNTIME_H_
@@ -69,18 +71,17 @@ class QueryRuntime {
   Stage* stage(uint32_t node_id);
 
  private:
-  EmitFn BuildEmitFrom(uint32_t producer_id);
-  /// Batch-plane twin of BuildEmitFrom for epochal chains: compiles the
-  /// local chain downstream of `producer_id` into a RowBatch pipeline
-  /// (kernel filters narrowing selections, vectorized projection,
+  /// Compiles the local chain downstream of `producer_id` into a RowBatch
+  /// pipeline (kernel filters narrowing selections, vectorized projection,
   /// VectorGroupBy partial aggregation, one-frame-per-batch origin
-  /// delivery). Never empty: edges with nothing to emit get a no-op sink.
+  /// delivery, rehash into a chained join). Never empty: edges with nothing
+  /// to emit get a no-op sink.
   BatchEmitFn BuildBatchEmitFrom(uint32_t producer_id);
   /// Packages one epochal scan as scheduler work: the compiled batch chain
   /// as the feed, and an epoch-completion callback as done.
   ScanWork BuildScanWork(uint32_t scan_id, uint64_t epoch);
   /// One scheduled scan of `epoch` finished; when the last one does, runs
-  /// the end-of-scan work (agg EndScan, the host's scans-done gate).
+  /// the end-of-scan work (agg Flush, the host's scans-done gate).
   void OnEpochScanDone(uint64_t epoch);
 
   StageHost* host_;

@@ -7,6 +7,9 @@
 // narrow engine interface below. That keeps the choreography (who a partial
 // is sent to, which timers survive a node crash) in one place and the
 // operator logic testable in isolation.
+//
+// Rows move between stages on one data plane: RowBatches pushed through the
+// chain QueryRuntime compiles for each producer (BatchEmitFn below).
 
 #ifndef PIER_QUERY_OPS_STAGE_H_
 #define PIER_QUERY_OPS_STAGE_H_
@@ -47,23 +50,17 @@ class StageHost {
   /// broadcasts can reparent a node between epochs).
   virtual int QueryDepth(uint64_t qid) const = 0;
 
-  /// kToOrigin exchange: routes a result row to the query origin (loops
-  /// back into origin collection when this node *is* the origin).
-  virtual void DeliverResult(uint64_t qid, uint64_t epoch,
-                             const catalog::Tuple& t) = 0;
-  /// Routes a partial aggregate. kTree sends to the dissemination-tree
-  /// parent (which combines before forwarding); anything else goes straight
-  /// to the origin.
-  virtual void DeliverPartial(uint64_t qid, uint64_t epoch,
-                              const catalog::Tuple& t, ExchangeKind route) = 0;
-  /// Batch-plane kToOrigin: delivers every live row of `b` to the origin in
-  /// ONE column-major wire frame (looping back row-by-row into origin
-  /// collection when this node is the origin).
+  /// kToOrigin exchange: delivers every live row of `b` to the origin
+  /// (looping back row-by-row into origin collection when this node is the
+  /// origin). Rows ship in chunked column-major frames; a one-row chunk
+  /// ships in the engine's smaller row frame.
   virtual void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                                   const exec::RowBatch& b) = 0;
-  /// Batch-plane partial routing: one frame carries a whole flush worth of
-  /// partial rows; the receiver unpacks and folds them exactly as if each
-  /// had arrived as a kPartialAgg message.
+  /// Routes partial aggregates. kTree sends to the dissemination-tree
+  /// parent (which combines before forwarding); anything else goes straight
+  /// to the origin. One frame carries a whole flush worth of partial rows
+  /// (a single partial rides the row frame); the receiver unpacks and folds
+  /// them row by row.
   virtual void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                                    const std::vector<catalog::Tuple>& partials,
                                    ExchangeKind route) = 0;
@@ -121,14 +118,21 @@ class StageHost {
   virtual bool ChargeRehashPuts(uint64_t qid, uint64_t n) = 0;
 };
 
-/// A stage consuming tuples from a local edge. Returns false to stop the
-/// producer early (LIMIT pushdown into scans).
+/// ScanStage::Run's row visitor: how join and recursion stages read their
+/// local scan inputs. Returns false to stop the scan early.
 using EmitFn = std::function<bool(const catalog::Tuple&)>;
 
-/// The batch-plane twin: a stage consuming whole RowBatches from a local
-/// edge. The callee may narrow or truncate the batch's selection in place;
-/// returning false stops the producing scan early, exactly like EmitFn.
+/// A stage consuming whole RowBatches from a local edge: the one data plane
+/// every producer feeds (epochal scans batch by batch; join output,
+/// recursion reach tuples and index cursor rows as one-row batches, at the
+/// moment each row is produced). The callee may narrow or truncate the
+/// batch's selection in place; returning false stops the producer early
+/// (LIMIT pushdown).
 using BatchEmitFn = std::function<bool(exec::RowBatch&)>;
+
+/// Feeds one produced row into `emit` as a one-row batch. Each column takes
+/// the lane of the row's own value type.
+bool EmitRow(const BatchEmitFn& emit, const catalog::Tuple& t);
 
 /// Base class for per-query runtime stages.
 class Stage {

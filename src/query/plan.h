@@ -50,14 +50,13 @@ struct QueryPlan {
                         ///< `window` at scan time
 
   // -- Lifecycle --------------------------------------------------------------
-  /// Per-query deadline override (0 = use EngineOptions::query_deadline).
+  /// Per-query deadline, relative to issue time (0 = none).
   /// Origin-local only — the wire carries the resolved absolute deadline in
   /// PlanEnvelope::deadline, so this field is not serialized.
   Duration deadline = 0;
 
-  /// Per-query resource budget (0-dimensions fall back to
-  /// EngineOptions::default_budget). Travels with the plan so every member
-  /// enforces the same caps.
+  /// Per-query resource budget (0-dimensions are unlimited). Travels with
+  /// the plan so every member enforces the same caps.
   QueryBudget budget;
 
   void Serialize(Writer* w) const;

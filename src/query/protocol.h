@@ -1,6 +1,9 @@
 // Shared query-layer protocol surface: the engine's tuning knobs, its
 // counters, the client-visible result batch, and the wire tags used by the
-// engine's direct and broadcast messages. Split out of engine.h so the
+// engine's direct and broadcast messages. Result and partial rows travel
+// in one of two encodings, both produced only by the engine's batch
+// delivery: a column-major RowBatch frame, or — for a single row — the
+// smaller row frame. Split out of engine.h so the
 // exchange layer (src/query/exchange.h) and the operator stages
 // (src/query/ops/) can depend on it without pulling in the engine itself.
 
@@ -32,63 +35,30 @@ struct QueryBudget {
   uint64_t max_result_rows = 0;
 };
 
+/// The engine's tuning knobs: only what callers actually tune. Fixed
+/// protocol constants (retry schedule, leases, frame sizes, scheduler
+/// quanta) live next to their single use.
 struct EngineOptions {
   /// How long the origin waits for distributed results before finalizing an
   /// epoch (the paper's demo semantics: sum over nodes *responding* in the
   /// window).
   Duration result_wait = Seconds(8);
   /// Tree aggregation: a node at depth d holds partials for
-  /// agg_hold_base * (agg_assumed_depth - d) before flushing to its parent,
-  /// so children flush before parents.
+  /// agg_hold_base * (assumed tree depth 8 - d) before flushing to its
+  /// parent, so children flush before parents.
   Duration agg_hold_base = Millis(800);
-  int agg_assumed_depth = 8;
   /// Bloom join: origin collects per-node filters for this long before
   /// redistributing the union.
   Duration bloom_wait = Seconds(4);
-  /// TTL on rehashed temp tuples (per-query exchange namespaces).
-  Duration temp_ttl = Seconds(90);
   /// Recursion: the origin declares fixpoint after this long without a new
   /// result, bounded by recursion_deadline.
   Duration quiesce_window = Seconds(6);
   Duration recursion_deadline = Seconds(120);
-  /// Member-side state GC delay after a query ends.
-  Duration cleanup_delay = Seconds(30);
   /// Rows per batch on the batch plane: epochal scan pipelines decode store
   /// slices into column batches, evaluate compiled predicate kernels,
   /// aggregate with VectorGroupBy, and ship results/partials as column-major
   /// RowBatch frames (one message per batch instead of one per tuple).
   uint32_t batch_size = 1024;
-  /// Max rows per kResultBatch frame on the member->origin hop. A lost
-  /// frame costs the whole frame until its retransmit lands (or for good,
-  /// once the retry budget is spent): a small cap keeps the loss blast
-  /// radius (and thus recall under faulty links) close to the row-at-a-time
-  /// plane while still amortizing per-message framing. 0 = unbounded.
-  uint32_t result_frame_rows = 4;
-  // -- reliable result plane --------------------------------------------------
-  // Every member->origin / member->parent result and partial frame rides an
-  // acked, retried kFrame envelope with per-query monotone frame ids.
-  // Receivers dedupe by frame id, so retransmits are idempotent.
-  /// First retransmit after this long without an ack; subsequent attempts
-  /// back off exponentially (x2) up to retry_max, each delay jittered by
-  /// +/- retry_jitter to decorrelate retransmit storms across senders.
-  Duration retry_initial = Millis(300);
-  Duration retry_max = Seconds(2);
-  /// Total send attempts per frame before it is declared lost-for-good and
-  /// charged to Completeness::frames_lost. 7 attempts fit inside the
-  /// default 8s result window at 20% per-hop loss with P(loss) ~ 1e-3.
-  int retry_budget = 7;
-  double retry_jitter = 0.25;
-  // -- lifecycle --------------------------------------------------------------
-  /// Default query deadline (0 = none). The origin finalizes whatever it has
-  /// at issued_at + deadline, flags the batch deadline_expired, and tears
-  /// the query down everywhere. Per-query override: QueryPlan::deadline.
-  Duration query_deadline{0};
-  /// Member-side origin-liveness lease: grace beyond a query's expected end
-  /// (one-shot: issued_at + result_wait; continuous: refreshed by each
-  /// epoch's plan re-broadcast) after which a member reclaims the query's
-  /// stage state and exchange namespaces on its own. Protects against an
-  /// origin that crashed without broadcasting kQueryEnd/kCancel.
-  Duration member_lease = Seconds(20);
   // -- admission control ------------------------------------------------------
   /// Per-node live-query budget. Origins refuse Execute() with
   /// Status::Busy; members shed the plan at install time and answer with a
@@ -96,33 +66,6 @@ struct EngineOptions {
   uint32_t max_live_queries = 256;
   /// Per-node bound on bytes sitting in unacked reliable-result outboxes.
   uint64_t max_pending_result_bytes = 8ull << 20;
-  /// Fan-out budget: plans with more operators than this are refused at
-  /// origin admission (a PIQL-style bounded-cost gate).
-  uint32_t max_plan_operators = 64;
-  // -- multi-tenant scheduler -------------------------------------------------
-  // Epochal scans run through the per-node QueryScheduler: round-robin over
-  // live queries with per-query quanta + shared-scan batching.
-  /// Rows one query may consume from the store per scheduler round before
-  /// the round-robin cursor moves on (fairness quantum). Served in whole
-  /// batches, so the effective quantum rounds up to a batch boundary.
-  uint32_t sched_quantum_rows = 2048;
-  /// Delay between scheduler rounds while runnable scan work remains.
-  Duration sched_round_interval = Millis(5);
-  /// A materialized store sweep stays attachable to later same-table scans
-  /// for this long (and only while the namespace is unmodified), so a burst
-  /// of concurrent queries shares one sweep.
-  Duration shared_scan_window = Millis(500);
-  /// Engine-wide default budget applied when a plan ships none (0s =
-  /// unlimited). Per-query override: QueryPlan::budget.
-  QueryBudget default_budget;
-  /// The origin refuses the `exact` certification while its overlay
-  /// topology changed within this window: a freshly split (or merging)
-  /// ring makes "every member reported" locally true but globally false —
-  /// the minority side of a partition would otherwise certify a fraction
-  /// of the answer as exact. Sized so a one-shot query issued within
-  /// ~window - result_wait of a detected split can never certify before
-  /// its result window closes. 0 = certify regardless (single-node tests).
-  Duration certify_stability_window = Seconds(30);
 };
 
 struct EngineStats {
@@ -175,10 +118,8 @@ struct EngineStats {
   uint64_t batches_scanned = 0;      ///< RowBatches flushed by batch scans
   uint64_t batch_frames_sent = 0;    ///< column-major wire frames sent
   uint64_t batch_frames_received = 0;
-  /// Epochal scan pipelines that ran the tuple path. Always 0 now: every
-  /// epochal scan pipeline runs on the batch plane. Kept, and read by the
-  /// perfbench report, until joins, recursion and index cursors are batched
-  /// as well.
+  /// Pipelines that ran a tuple path. Always 0: every producer feeds the
+  /// batch plane. Kept because the perfbench report reads it.
   uint64_t vectorized_fallbacks = 0;
   // -- reliable result plane -------------------------------------------------
   uint64_t frames_sent = 0;           ///< kFrame envelopes first-sent
@@ -292,6 +233,8 @@ struct ResultBatch {
 
 /// Message types under overlay::Proto::kQuery (direct engine traffic).
 enum class MsgType : uint8_t {
+  /// Row frames: [qid][epoch][tuple] — the one-row encoding of a result or
+  /// partial batch.
   kResultTuple = 1,
   kPartialAgg = 2,
   kFetchReq = 3,

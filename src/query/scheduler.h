@@ -66,8 +66,15 @@ struct ScanWork {
 class QueryScheduler {
  public:
   struct Options {
+    /// Rows one query may consume from the store per round before the
+    /// round-robin cursor moves on (fairness quantum). Served in whole
+    /// batches, so the effective quantum rounds up to a batch boundary.
     uint32_t quantum_rows = 2048;
+    /// Delay between rounds while runnable scan work remains.
     Duration round_interval = Millis(5);
+    /// A materialized store sweep stays attachable to later same-table
+    /// scans for this long (and only while the namespace is unmodified), so
+    /// a burst of concurrent queries shares one sweep.
     Duration shared_window = Millis(500);
     /// Rows per materialized sweep batch (the engine's batch_size, so
     /// mid-batch LIMIT pushdown sees the same granularity as a solo scan).

@@ -119,19 +119,17 @@ Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
         break;
       }
       case OpType::kProject: {
+        // The runtime's projection semantics: an expression whose scalar
+        // evaluation errors on a row projects NULL; the row is kept.
         for (const Tuple& t : out[node.inputs[0]]) {
           Tuple projected;
           projected.reserve(node.exprs.size());
-          bool ok = true;
           for (const exec::ExprPtr& e : node.exprs) {
             Value v;
-            if (!e->Eval(t, &v).ok()) {
-              ok = false;
-              break;
-            }
+            if (!e->Eval(t, &v).ok()) v = Value::Null();
             projected.push_back(std::move(v));
           }
-          if (ok) out[id].push_back(std::move(projected));
+          out[id].push_back(std::move(projected));
         }
         break;
       }

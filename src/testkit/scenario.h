@@ -54,7 +54,7 @@ struct QuerySpec {
   double min_precision = -1.0;
   /// > 0: the origin cancels this query this long after issuing it.
   Duration cancel_after = 0;
-  /// > 0: per-query deadline (overrides EngineOptions::query_deadline).
+  /// > 0: per-query deadline (QueryPlan::deadline).
   Duration deadline = 0;
 };
 

@@ -15,6 +15,7 @@
 #include "core/network.h"
 #include "query/engine.h"
 #include "query/plan.h"
+#include "testkit/oracle.h"
 #include "workload/workloads.h"
 
 namespace pier {
@@ -582,6 +583,99 @@ TEST_P(QueryJoinTest, EquiJoinMatchesReference) {
   }
 }
 
+// Join output flows through a residual predicate and a projection on the
+// batch plane, one row per batch. The rows carry NULLs and values whose
+// type disagrees with the schema; the predicate errors on one row (dropped)
+// and the projection errors on another (projected as NULL). Every strategy
+// must return exactly the oracle's central scalar evaluation.
+TEST_P(QueryJoinTest, JoinOutputThroughFilterAndProjectMatchesOracle) {
+  PierNetworkOptions opts = OneHopOpts(59);
+  opts.node.engine.result_wait = Seconds(12);
+  opts.node.engine.bloom_wait = Seconds(3);
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());
+  RegisterEverywhere(net, RulesTable());
+
+  // alerts: (rule_id, descr, hits INT64).
+  std::vector<Tuple> alerts = {
+      {Value::Int64(1), Value::String("a"), Value::Int64(10)},
+      {Value::Int64(1), Value::String("b"), Value::Int64(30)},
+      {Value::Int64(1), Value::String("y"), Value::String("y")},
+      {Value::Int64(2), Value::Null(), Value::Int64(20)},
+      {Value::Int64(2), Value::String("c"), Value::Null()},
+      {Value::Int64(3), Value::String("d"), Value::String("x")},
+      {Value::Int64(3), Value::String("e"), Value::Double(2.5)},
+      {Value::Int64(4), Value::String("f"), Value::Int64(40)},
+      {Value::Int64(5), Value::String("g"), Value::Int64(50)},
+      {Value::Int64(6), Value::String("h"), Value::Int64(60)},
+  };
+  // rules: (rule_id, severity INT64).
+  std::vector<Tuple> rules = {
+      {Value::Int64(1), Value::Int64(1)},
+      {Value::Int64(2), Value::Int64(2)},
+      {Value::Int64(3), Value::Int64(3)},
+      {Value::Int64(4), Value::Null()},
+      {Value::Int64(5), Value::String("hi")},
+      {Value::Int64(9), Value::Int64(5)},
+  };
+  for (size_t i = 0; i < alerts.size(); ++i) {
+    ASSERT_TRUE(net.node(i % net.size())
+                    ->query_engine()
+                    ->Publish("alerts", alerts[i])
+                    .ok());
+  }
+  for (size_t i = 0; i < rules.size(); ++i) {
+    ASSERT_TRUE(net.node((i + 3) % net.size())
+                    ->query_engine()
+                    ->Publish("rules", rules[i])
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+
+  QueryPlan plan;
+  // Concat layout: [rule_id, descr, hits, rules.rule_id, severity].
+  // WHERE severity >= 2 OR hits + 0 > 15: the second arm errors on a
+  // string `hits`. SELECT rule_id, descr, hits * 2, severity: the product
+  // errors on a string `hits`.
+  plan.graph = JoinGraph(
+      ScanOp("alerts", AlertsTable().schema),
+      ScanOp("rules", RulesTable().schema), JoinOp(GetParam(), {0}, {0}),
+      Expr::Or(Expr::Compare(CompareOp::kGe, Expr::Column(4),
+                             Expr::Literal(Value::Int64(2))),
+               Expr::Compare(CompareOp::kGt,
+                             Expr::Arith(exec::ArithOp::kAdd, Expr::Column(2),
+                                         Expr::Literal(Value::Int64(0))),
+                             Expr::Literal(Value::Int64(15)))),
+      ProjectOp({Expr::Column(0), Expr::Column(1),
+                 Expr::Arith(exec::ArithOp::kMul, Expr::Column(2),
+                             Expr::Literal(Value::Int64(2))),
+                 Expr::Column(4)}));
+  auto oracle = testkit::OracleEvaluate(net, plan);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  std::vector<ResultBatch> batches;
+  auto r = net.node(0)->query_engine()->Execute(
+      plan, [&](const ResultBatch& b) { batches.push_back(b); });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  net.RunFor(Seconds(25));
+
+  ASSERT_EQ(batches.size(), 1u);
+  testkit::OracleScore score =
+      testkit::ScoreAnswer(oracle.value(), batches[0].rows);
+  EXPECT_EQ(score.matched, score.oracle_rows)
+      << score.ToString() << " strategy " << JoinStrategyName(GetParam());
+  EXPECT_EQ(score.answer_rows, score.oracle_rows) << score.ToString();
+  // The erroring projection kept its row, with a NULL product.
+  bool nulled = false;
+  for (const Tuple& t : batches[0].rows) {
+    nulled |= t[1].type() == ValueType::kString &&
+              t[1].string_value() == "d" && t[2].is_null();
+  }
+  EXPECT_TRUE(nulled) << "strategy " << JoinStrategyName(GetParam());
+  EXPECT_GE(score.oracle_rows, 6u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Strategies, QueryJoinTest,
                          ::testing::Values(JoinStrategy::kSymmetricHash,
                                            JoinStrategy::kFetchMatches,
@@ -958,6 +1052,60 @@ TEST(QueryRobustnessTest, EngineStatsAccumulate) {
     plans += net.node(i)->query_engine()->stats().plans_received;
   }
   EXPECT_GE(plans, 3u);  // every non-origin node saw the plan
+}
+
+// A hostile result/partial frame: a zero-column batch that claims the
+// maximum 2^20 rows is only a few bytes on the wire. For a query the node
+// does not know, or under a spoofed epoch, it must be dropped before any row
+// is materialized, and it must count as nothing. A small frame of the same
+// shape for the live query is the positive control.
+TEST(QueryRobustnessTest, ZeroColumnMaxRowBatchFramesForUnknownQueryDropped) {
+  PierNetwork net(2, OneHopOpts(83));
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());  // no rows: no real result traffic
+  QueryPlan plan;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema);
+  Result<uint64_t> qid = net.node(1)->query_engine()->Execute(
+      plan, [](const ResultBatch&) {});
+  ASSERT_TRUE(qid.ok());
+  net.RunFor(Seconds(1));
+  auto frame = [](MsgType type, uint64_t q, uint64_t epoch, uint32_t rows) {
+    Writer w;
+    w.PutU8(static_cast<uint8_t>(type));
+    w.PutVarint64(q);
+    w.PutVarint64(epoch);
+    w.PutU8(1);  // RowBatch wire version
+    w.PutVarint32(rows);
+    w.PutVarint32(0);  // columns
+    return w;
+  };
+  overlay::Transport* tx = net.node(0)->transport();
+  sim::HostId to = net.node(1)->host();
+  const EngineStats& s = net.node(1)->query_engine()->stats();
+  const uint64_t results0 = s.result_msgs_received;
+  const uint64_t partials0 = s.partial_msgs_received;
+  const uint64_t batches0 = s.batch_frames_received;
+  const uint32_t kMaxRows = 1u << 20;  // the decoder's maximum
+  const uint64_t kUnknown = qid.value() + 1000;
+  for (int i = 0; i < 8; ++i) {
+    for (const Writer& w :
+         {frame(MsgType::kResultBatch, kUnknown, 0, kMaxRows),
+          frame(MsgType::kPartialBatch, kUnknown, 1, kMaxRows),
+          frame(MsgType::kResultBatch, qid.value(), 1ull << 62, kMaxRows)}) {
+      ASSERT_TRUE(tx->Send(to, overlay::Proto::kQuery, w).ok());
+    }
+  }
+  net.RunFor(Millis(500));
+  EXPECT_EQ(s.result_msgs_received, results0);
+  EXPECT_EQ(s.partial_msgs_received, partials0);
+  EXPECT_EQ(s.batch_frames_received, batches0);
+
+  ASSERT_TRUE(tx->Send(to, overlay::Proto::kQuery,
+                       frame(MsgType::kResultBatch, qid.value(), 0, 3))
+                  .ok());
+  net.RunFor(Millis(500));
+  EXPECT_EQ(s.result_msgs_received, results0 + 1);
+  EXPECT_EQ(s.batch_frames_received, batches0 + 1);
 }
 
 // ---------------------------------------------------------------------------

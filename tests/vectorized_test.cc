@@ -353,35 +353,85 @@ std::vector<AggSpec> AllAggs() {
   };
 }
 
+/// Runs GroupByOp over `rows` and expects `vgb` (already fed the same rows)
+/// to drain identically: same groups, same order, same value types.
+void ExpectSameDrain(const std::vector<int>& group_cols,
+                     const std::vector<AggSpec>& aggs, bool finalize,
+                     const std::vector<Tuple>& rows, VectorGroupBy* vgb,
+                     const std::string& ctx) {
+  GroupByOp reference(group_cols, aggs,
+                      finalize ? AggPhase::kComplete : AggPhase::kPartial);
+  CollectorSink ref_sink;
+  reference.AddOutput(&ref_sink);
+  for (const Tuple& t : rows) reference.Push(t, 0);
+  reference.FlushAndReset();
+
+  std::vector<Tuple> got;
+  vgb->DrainAndReset([&](Tuple& t) {
+    got.push_back(std::move(t));
+    return true;
+  });
+
+  ASSERT_EQ(got.size(), ref_sink.rows().size()) << ctx;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), ref_sink.rows()[i].size()) << ctx;
+    for (size_t c = 0; c < got[i].size(); ++c) {
+      ExpectValuesIdentical(ref_sink.rows()[i][c], got[i][c],
+                            "groupby " + ctx + " group=" + std::to_string(i) +
+                                " col=" + std::to_string(c));
+    }
+  }
+}
+
+/// Column $6 of the one-row-batch input: INT64 on most rows, DOUBLE on
+/// every third, NULL on every seventh — SUM/AVG states widen from INT64 to
+/// DOUBLE mid-stream, and MIN/MAX compare across the two types.
+Value WideningValue(size_t i) {
+  if (i % 7 == 0) return Value::Null();
+  if (i % 3 == 0) return Value::Double(static_cast<double>(i) * 0.5);
+  return Value::Int64(static_cast<int64_t>(i % 40) - 20);
+}
+
 void CheckGroupBy(const std::vector<int>& group_cols, bool finalize,
                   uint64_t seed) {
   Rng rng(seed);
   TestBatch tb = MakeBatch(&rng, 400);
 
-  GroupByOp reference(group_cols, AllAggs(),
-                      finalize ? AggPhase::kComplete : AggPhase::kPartial);
-  CollectorSink ref_sink;
-  reference.AddOutput(&ref_sink);
-  for (const Tuple& t : tb.rows) reference.Push(t, 0);
-  reference.FlushAndReset();
-
+  const std::string ctx = "seed=" + std::to_string(seed);
   VectorGroupBy vgb(group_cols, AllAggs(), finalize);
   vgb.PushBatch(tb.batch);
-  std::vector<Tuple> got;
-  vgb.DrainAndReset([&](Tuple& t) {
-    got.push_back(std::move(t));
-    return true;
-  });
+  ExpectSameDrain(group_cols, AllAggs(), finalize, tb.rows, &vgb, ctx);
 
-  ASSERT_EQ(got.size(), ref_sink.rows().size()) << "seed=" << seed;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].size(), ref_sink.rows()[i].size()) << "seed=" << seed;
-    for (size_t c = 0; c < got[i].size(); ++c) {
-      ExpectValuesIdentical(ref_sink.rows()[i][c], got[i][c],
-                            "groupby seed=" + std::to_string(seed) +
-                                " group=" + std::to_string(i) +
-                                " col=" + std::to_string(c));
+  // The same rows one row per batch, as join output reaches a join-fed
+  // AggStage. A column's lane kind then varies from batch to batch: $5
+  // flips between the INT64 lane and the boxed lane (string rows under the
+  // schema, NULL rows when typed by value), and the widening column $6
+  // between INT64 and DOUBLE.
+  std::vector<Tuple> rows = tb.rows;
+  for (size_t i = 0; i < rows.size(); ++i) rows[i].push_back(WideningValue(i));
+  std::vector<AggSpec> aggs = AllAggs();
+  aggs.push_back({AggFunc::kSum, 6, "sum_w"});
+  aggs.push_back({AggFunc::kAvg, 6, "avg_w"});
+  aggs.push_back({AggFunc::kMin, 6, "min_w"});
+  aggs.push_back({AggFunc::kMax, 6, "max_w"});
+  aggs.push_back({AggFunc::kSum, 5, "sum_m"});
+  aggs.push_back({AggFunc::kMax, 5, "max_m"});
+  std::vector<catalog::Column> cols = TestSchema().columns();
+  cols.push_back({"w", ValueType::kInt64});
+  const Schema widened("t", cols);
+  for (bool schema_typed : {true, false}) {
+    VectorGroupBy one_row(group_cols, aggs, finalize);
+    for (const Tuple& t : rows) {
+      std::vector<ValueType> types;
+      for (const Value& v : t) types.push_back(v.type());
+      RowBatchBuilder builder =
+          schema_typed ? RowBatchBuilder(widened) : RowBatchBuilder(types);
+      builder.Append(t);
+      one_row.PushBatch(builder.Take());
     }
+    ExpectSameDrain(group_cols, aggs, finalize, rows, &one_row,
+                    ctx + (schema_typed ? " one-row schema-typed"
+                                        : " one-row value-typed"));
   }
 }
 
