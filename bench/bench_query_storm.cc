@@ -22,7 +22,10 @@
 // The self-check gates the exit code: every query must answer with exactly
 // its oracle row count (clean network, deterministic data), admission must
 // never refuse (the storm runs with raised budgets), no per-query budget may
-// trip, and sweep sharing must actually engage. All checks are virtual-time
+// trip, sweep sharing must actually engage, and every disseminated query
+// must cost exactly one broadcast wave: the network-wide broadcasts
+// initiated during the storm equal scans + joins + index fallbacks (one-shot
+// queries end without a teardown wave). All checks are virtual-time
 // deterministic; wall clock is recorded but never gated.
 //
 // `--json[=path]` merges the metrics into the shared report (BENCH_PR10.json).
@@ -92,6 +95,15 @@ uint64_t TotalBytes(core::PierNetwork& net) {
          net.TotalBytesOut(overlay::Proto::kBroadcast);
 }
 
+/// Broadcast waves initiated so far, summed over every node.
+uint64_t BroadcastsInitiated(core::PierNetwork& net) {
+  uint64_t n = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    n += net.node(i)->broadcast()->stats().initiated;
+  }
+  return n;
+}
+
 /// One storm query's lifecycle record, filled in by its result callback.
 struct QueryRecord {
   std::string sql;
@@ -159,6 +171,8 @@ struct StormResult {
   uint64_t sched_rounds = 0;
   uint64_t admission_refusals = 0;
   uint64_t budget_trips = 0;
+  uint64_t broadcasts = 0;            ///< waves initiated during the storm
+  uint64_t disseminated_queries = 0;  ///< scans + joins + index fallbacks
   bool ok = false;
 };
 
@@ -202,6 +216,7 @@ StormResult RunStorm() {
 
   std::vector<QueryRecord> mix = BuildMix();
   uint64_t bytes_before = TotalBytes(net);
+  uint64_t broadcasts_before = BroadcastsInitiated(net);
   const TimePoint t0 = net.sim()->now();
 
   // Schedule every issue up front; the single RunUntil below then drives
@@ -235,9 +250,11 @@ StormResult RunStorm() {
 
   StormResult out;
   out.bytes = TotalBytes(net) - bytes_before;
+  out.broadcasts = BroadcastsInitiated(net) - broadcasts_before;
   std::vector<double> latencies;
   latencies.reserve(mix.size());
   for (const QueryRecord& rec : mix) {
+    if (!rec.use_index) ++out.disseminated_queries;
     if (rec.answered_at == 0) continue;
     ++out.answered;
     if (rec.rows == rec.expect) {
@@ -261,10 +278,12 @@ StormResult RunStorm() {
     out.sched_rounds += s.sched_rounds;
     out.admission_refusals += s.admission_refusals;
     out.budget_trips += s.budget_trips;
+    out.disseminated_queries += s.index_fallbacks;
   }
   out.ok = out.answered == kQueries && out.correct == kQueries &&
            out.admission_refusals == 0 && out.budget_trips == 0 &&
-           out.shared_scan_hits > 0 && out.store_sweeps < out.scans_run;
+           out.shared_scan_hits > 0 && out.store_sweeps < out.scans_run &&
+           out.broadcasts == out.disseminated_queries;
   return out;
 }
 
@@ -282,13 +301,15 @@ int main(int argc, char** argv) {
   std::printf(
       "answered %zu/%d (correct %zu)  p50 %.3fs  p99 %.3fs  %.1f MiB\n"
       "scan tasks %" PRIu64 "  store sweeps %" PRIu64 "  shared hits %" PRIu64
-      "  sched rounds %" PRIu64 "\n"
+      "  sched rounds %" PRIu64 "  broadcasts %" PRIu64
+      " (disseminated queries %" PRIu64 ")\n"
       "admission refusals %" PRIu64 "  budget trips %" PRIu64
       "  wall %.2fs  self-check %s\n",
       r.answered, kQueries, r.correct, r.p50_s, r.p99_s,
       r.bytes / (1024.0 * 1024.0), r.scans_run, r.store_sweeps,
-      r.shared_scan_hits, r.sched_rounds, r.admission_refusals,
-      r.budget_trips, wall, r.ok ? "OK" : "FAILED");
+      r.shared_scan_hits, r.sched_rounds, r.broadcasts,
+      r.disseminated_queries, r.admission_refusals, r.budget_trips, wall,
+      r.ok ? "OK" : "FAILED");
   if (json.enabled) {
     bench::JsonReport report("bench_query_storm");
     report.Metric("wall_clock", wall, "s");
@@ -302,6 +323,7 @@ int main(int argc, char** argv) {
                   "count");
     report.Metric("shared_scan_hits",
                   static_cast<double>(r.shared_scan_hits), "count");
+    report.Metric("broadcasts", static_cast<double>(r.broadcasts), "count");
     if (!report.WriteMerged(json.path)) {
       std::printf("failed to write %s\n", json.path.c_str());
       return 1;

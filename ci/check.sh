@@ -127,8 +127,9 @@ if [[ $PERF -eq 1 ]]; then
   "$BUILD_DIR/bench_exec_vectorized" --json=BENCH_PR10.json | tail -3
   # The multi-tenant storm: 1000 mixed index/scan/join queries over 256
   # nodes. Gates on exact answers for every query, zero admission refusals
-  # or budget trips at the raised budgets, and the scheduler's sweep
-  # sharing actually engaging (store sweeps < scan tasks).
+  # or budget trips at the raised budgets, the scheduler's sweep sharing
+  # actually engaging (store sweeps < scan tasks), and one broadcast wave
+  # per disseminated query (broadcasts = scans + joins + index fallbacks).
   "$BUILD_DIR/bench_query_storm" --json=BENCH_PR10.json | tail -4
   # Join-strategy ablation + planner selection. Gates on every strategy
   # returning the exact join answer and on the stats-driven planner choice

@@ -125,9 +125,9 @@ struct QueryEngine::ActiveQuery {
   bool cancelled = false;
   bool deadline_expired = false;
   sim::TimerId deadline_timer = 0;
-  /// Member-side origin-liveness lease (reclaims state if the origin died
-  /// without broadcasting an end).
-  sim::TimerId lease_timer = 0;
+  /// Member-side close timer: a one-shot member ends at the origin's known
+  /// close time plus grace; a continuous member's origin-liveness lease.
+  sim::TimerId close_timer = 0;
 
   // -- reliable result plane (PR 8) ------------------------------------------
   /// Epochal with a pure member->origin data plane (see IsAccountableGraph).
@@ -763,9 +763,18 @@ void QueryEngine::OnFrameAck(Reader* r) {
   ReliableOutbox::Frame* f = aq->outbox.Get(frame_id);
   if (f == nullptr) return;  // duplicate ack
   bool was_data = !f->control;
+  bool was_report =
+      f->control && static_cast<MsgType>(f->bytes[0]) == MsgType::kEpochReport;
   pending_result_bytes_ -= f->bytes.size();
   aq->outbox.Ack(frame_id);
   ++stats_.frames_acked;
+  if (was_report && aq->env.plan.every == 0) {
+    // A one-shot member reports once, after every row it will ever send was
+    // acked: the origin's ack of that report ends the query here, with no
+    // teardown wave.
+    HandleQueryEnd(qid);
+    return;
+  }
   if (was_data && !aq->ended && aq->outbox.data_drained()) {
     OnOutboxDrained(aq);
   }
@@ -956,33 +965,41 @@ void QueryEngine::OnDeadline(uint64_t qid) {
   }
 }
 
+TimePoint QueryEngine::KnownCloseTime(const ActiveQuery& aq) const {
+  bool recursive = aq.runtime != nullptr && aq.runtime->has_recurse();
+  return aq.env.issued_at +
+         (recursive ? options_.recursion_deadline : options_.result_wait);
+}
+
 void QueryEngine::ArmMemberLifecycle(ActiveQuery* aq) {
   if (aq->is_origin) return;
   uint64_t qid = aq->env.query_id;
+  // Members end this long after the origin's deadline or close time: its
+  // end wave (if it sends one) normally lands first, and rows still in
+  // flight at the close reach the origin as counted stragglers.
+  constexpr Duration kMemberGrace = Seconds(2);
   if (aq->env.deadline > 0 && aq->deadline_timer == 0) {
-    // Two seconds of grace past the origin's deadline: its kCancel
-    // normally lands first, making this the lost-broadcast backstop.
     aq->deadline_timer = ScheduleEngineTimerAt(
-        aq->env.deadline + Seconds(2), [this, qid] { OnDeadline(qid); });
+        aq->env.deadline + kMemberGrace, [this, qid] { OnDeadline(qid); });
   }
-  // Origin-liveness lease: a member whose origin crashed (no kQueryEnd, no
-  // kCancel, no plan refreshes) reclaims its stage state and exchange
-  // namespaces itself, well before the storage TTL would. The lease is
-  // kMemberLease of grace beyond the query's expected end.
-  constexpr Duration kMemberLease = Seconds(20);
-  TimePoint lease;
+  TimePoint close;
   if (aq->env.plan.every > 0) {
-    // Refreshed on every plan re-broadcast: one missed period plus the
-    // result window plus slack means the origin is gone.
-    lease = sim_->now() + aq->env.plan.every + options_.result_wait +
+    // Origin-liveness lease, refreshed on every plan re-broadcast: one
+    // missed period plus the result window plus slack means the origin is
+    // gone (crashed without a kCancel), and the member reclaims its stage
+    // state and exchange namespaces itself, well before the storage TTL.
+    constexpr Duration kMemberLease = Seconds(20);
+    close = sim_->now() + aq->env.plan.every + options_.result_wait +
             kMemberLease;
-  } else if (aq->runtime != nullptr && aq->runtime->has_recurse()) {
-    lease = aq->env.issued_at + options_.recursion_deadline + kMemberLease;
   } else {
-    lease = aq->env.issued_at + options_.result_wait + kMemberLease;
+    // One-shot: every member knows when the origin closes, so none waits
+    // for a teardown wave (an accountable member usually ends earlier, on
+    // the ack of its epoch report). This also reclaims the state of a
+    // member whose origin crashed.
+    close = KnownCloseTime(*aq) + kMemberGrace;
   }
-  if (aq->lease_timer != 0) sim_->Cancel(aq->lease_timer);
-  aq->lease_timer = ScheduleEngineTimerAt(lease, [this, qid] {
+  if (aq->close_timer != 0) sim_->Cancel(aq->close_timer);
+  aq->close_timer = ScheduleEngineTimerAt(close, [this, qid] {
     auto it = queries_.find(qid);
     if (it == queries_.end() || it->second->ended) return;
     ++stats_.leases_reclaimed;
@@ -1242,9 +1259,9 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
   aq->outbox.Clear();
   // Same for the receiver side: per-sender dedupe windows, admitted-frame
   // counters, and member reports die with the query on EVERY terminal path
-  // (kQueryEnd, kCancel, member deadline self-expiry, lease reclaim all
-  // route here) — not just the happy one. A storm of short queries must
-  // leave these maps empty, not monotonically growing.
+  // (kQueryEnd, kCancel, the report ack, member deadline self-expiry and
+  // the close timer all route here) — not just the happy one. A storm of
+  // short queries must leave these maps empty, not monotonically growing.
   aq->rx_dedupe.clear();
   aq->rx_data_frames.clear();
   aq->reports.clear();
@@ -1254,9 +1271,9 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
     sim_->Cancel(aq->deadline_timer);
     aq->deadline_timer = 0;
   }
-  if (aq->lease_timer != 0) {
-    sim_->Cancel(aq->lease_timer);
-    aq->lease_timer = 0;
+  if (aq->close_timer != 0) {
+    sim_->Cancel(aq->close_timer);
+    aq->close_timer = 0;
   }
   if (aq->runtime != nullptr) {
     for (const std::string& ns : aq->runtime->Namespaces()) {
@@ -1275,8 +1292,8 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
   if (it != queries_.end()) {
     // Already installed. Continuous queries are re-disseminated
     // periodically (soft state); a refresh carries a fresh tree position,
-    // repairing aggregation trees around failed parents — and renews the
-    // member's origin-liveness lease.
+    // repairing aggregation trees around failed parents — and re-arms the
+    // member's close timer (renewing a continuous query's lease).
     if (!it->second->is_origin) {
       it->second->parent = parent;
       it->second->depth = depth;
@@ -1326,7 +1343,7 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
                                                       aq->is_origin);
     if (!aq->runtime->Init().ok()) {
       // Hostile or unexecutable graph: drop it (soft failure, no crash) —
-      // but still lease the husk so it cannot squat forever.
+      // but still arm the husk's close timer so it cannot squat forever.
       aq->runtime.reset();
       ArmMemberLifecycle(aq);
       return;
@@ -1750,26 +1767,30 @@ void QueryEngine::FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
 
   bool one_shot = aq->env.plan.every == 0;
   if (one_shot) {
-    EndQuery(aq->env.query_id);
+    EndQuery(aq, exact_certified);
   } else {
     // Keep the query running; retire this epoch's state.
     aq->epochs.erase(epoch);
   }
 }
 
-void QueryEngine::EndQuery(uint64_t query_id) {
-  auto it = queries_.find(query_id);
-  if (it == queries_.end() || !it->second->is_origin) return;
-  it->second->quiesce_task.Stop();
-  if (it->second->origin_local) {
-    // Never disseminated, so nothing remote to tear down.
-    HandleQueryEnd(query_id);
+void QueryEngine::EndQuery(ActiveQuery* aq, bool certified) {
+  if (aq->ended) return;  // the result callback cancelled it
+  const uint64_t query_id = aq->env.query_id;
+  aq->quiesce_task.Stop();
+  // Members end a one-shot query without being told: on the ack of their
+  // epoch report (a certified answer means every member reported), or at
+  // the known close time. Only an uncertified close before that time —
+  // recursion quiescing, a deadline — needs the end wave, since members
+  // cannot know about it.
+  if (!aq->origin_local && !certified && sim_->now() < KnownCloseTime(*aq)) {
+    Writer w;
+    w.PutU8(static_cast<uint8_t>(BcastKind::kQueryEnd));
+    w.PutVarint64(query_id);
+    broadcast_->Broadcast(sim::Payload(w.Release()));  // includes local delivery
     return;
   }
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(BcastKind::kQueryEnd));
-  w.PutVarint64(query_id);
-  broadcast_->Broadcast(sim::Payload(w.Release()));  // includes local delivery
+  HandleQueryEnd(query_id);
 }
 
 void QueryEngine::GcQuery(uint64_t query_id) {

@@ -193,9 +193,14 @@ class QueryEngine : public ops::StageHost {
   /// Deadline fired: origin finalizes what it has (flagged) and cancels
   /// network-wide; members self-expire.
   void OnDeadline(uint64_t qid);
-  /// Arms/refreshes a member's deadline self-expiry and origin-liveness
-  /// lease timers.
+  /// Arms/refreshes a member's deadline self-expiry and its close timer
+  /// (one-shot: the known close time plus grace; continuous: the
+  /// origin-liveness lease).
   void ArmMemberLifecycle(ActiveQuery* aq);
+  /// When the origin closes a one-shot query at the latest, as every member
+  /// can compute it from the envelope: issued_at plus the result window, or
+  /// plus the recursion deadline.
+  TimePoint KnownCloseTime(const ActiveQuery& aq) const;
 
   // -- query lifecycle -------------------------------------------------------
   /// Graph constraints that need the catalog (partitioning prerequisites
@@ -207,9 +212,12 @@ class QueryEngine : public ops::StageHost {
   void StartEpoch(ActiveQuery* aq, uint64_t epoch);
   void FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
                      bool exact_certified = false);
-  void EndQuery(uint64_t query_id);
-  /// Member-side end-of-query teardown (also the local path for
-  /// origin-local queries that never broadcast).
+  /// Origin side: ends a one-shot query after its final batch. Broadcasts
+  /// kQueryEnd only for an uncertified close before KnownCloseTime.
+  void EndQuery(ActiveQuery* aq, bool certified);
+  /// End-of-query teardown on this node: a member's on the end wave, its
+  /// report ack or its close timer; the origin's when it ends without a
+  /// wave.
   void HandleQueryEnd(uint64_t query_id);
   void GcQuery(uint64_t query_id);
   /// Rewrites an index-scan query into the equivalent broadcast scan and

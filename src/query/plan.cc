@@ -183,7 +183,7 @@ std::string QueryPlan::ToString() const {
 
 void PlanEnvelope::Serialize(Writer* w) const {
   w->PutVarint64(query_id);
-  w->PutFixed32(origin);
+  w->PutVarint32(origin);
   w->PutVarint64(static_cast<uint64_t>(issued_at));
   w->PutVarint64(static_cast<uint64_t>(deadline));
   plan.Serialize(w);
@@ -191,7 +191,7 @@ void PlanEnvelope::Serialize(Writer* w) const {
 
 Status PlanEnvelope::Deserialize(Reader* r, PlanEnvelope* out) {
   PIER_RETURN_IF_ERROR(r->GetVarint64(&out->query_id));
-  PIER_RETURN_IF_ERROR(r->GetFixed32(&out->origin));
+  PIER_RETURN_IF_ERROR(r->GetVarint32(&out->origin));
   uint64_t issued = 0;
   PIER_RETURN_IF_ERROR(r->GetVarint64(&issued));
   out->issued_at = static_cast<TimePoint>(issued);

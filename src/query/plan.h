@@ -73,7 +73,8 @@ struct PlanEnvelope {
   uint32_t origin = 0;       ///< host that issued the query
   TimePoint issued_at = 0;   ///< origin virtual time (epoch alignment)
   /// Absolute expiry (0 = none). Members self-expire shortly after this
-  /// even if the origin's kCancel/kQueryEnd broadcast never reaches them.
+  /// even if the origin's kQueryEnd (one-shot) or kCancel (continuous)
+  /// broadcast never reaches them.
   TimePoint deadline = 0;
   QueryPlan plan;
 

@@ -137,7 +137,10 @@ struct EngineStats {
   // -- lifecycle -------------------------------------------------------------
   uint64_t queries_cancelled = 0;        ///< user Cancel() at the origin
   uint64_t queries_deadline_expired = 0; ///< origin + member self-expiries
-  uint64_t leases_reclaimed = 0;         ///< member lease fired (dead origin)
+  /// Member-side close-timer ends: a one-shot member reaching the known
+  /// close time (no report ack first), or a continuous member's
+  /// origin-liveness lease running out (dead origin).
+  uint64_t leases_reclaimed = 0;
   // -- admission control -----------------------------------------------------
   uint64_t admission_refusals = 0;          ///< origin-side Execute refusals
   uint64_t plans_shed = 0;                  ///< member-side installs refused
@@ -279,10 +282,16 @@ enum class AdmissionReason : uint8_t {
 enum class BcastKind : uint8_t {
   kPlan = 1,
   kBloomDist = 2,
+  /// Early end of a one-shot query: [qid]. Sent only when the origin
+  /// closes before its known close time without certifying (recursion
+  /// quiescing, a deadline). Otherwise members end the query on their own:
+  /// on the ack of their epoch report, or at issued_at + result_wait (or +
+  /// recursion_deadline) plus grace.
   kQueryEnd = 3,
-  /// Cancellation/expiry: [qid]. Same member-side teardown as kQueryEnd
-  /// (stage state and q<id>.x<n> namespaces dropped immediately, not at
-  /// TTL), kept distinct so traces show *why* the query ended.
+  /// Cancellation/expiry of any query, one-shot or continuous: [qid]. Same
+  /// member-side teardown as kQueryEnd (stage state and q<id>.x<n>
+  /// namespaces dropped immediately, not at TTL), kept distinct so traces
+  /// show *why* the query ended.
   kCancel = 4,
 };
 

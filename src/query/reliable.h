@@ -44,8 +44,8 @@ class FrameDedupe {
 ///
 /// Teardown contract: the engine must Clear() the outbox — refunding
 /// pending_bytes() against its admission counter first — on EVERY terminal
-/// path of the owning query (end, cancel, deadline self-expiry, lease
-/// reclaim, engine stop), and must never Enqueue into an ended query's
+/// path of the owning query (end, cancel, deadline self-expiry, close
+/// timer, engine stop), and must never Enqueue into an ended query's
 /// outbox. The testkit audits both via
 /// QueryEngine::CheckReliableAccounting.
 class ReliableOutbox {

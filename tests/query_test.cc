@@ -15,6 +15,7 @@
 #include "core/network.h"
 #include "query/engine.h"
 #include "query/plan.h"
+#include "testkit/invariants.h"
 #include "testkit/oracle.h"
 #include "workload/workloads.h"
 
@@ -1029,6 +1030,121 @@ TEST(QueryRobustnessTest, LatePartialsCountedAfterFinalize) {
   const EngineStats& st = net.node(0)->query_engine()->stats();
   EXPECT_GE(st.late_partials, 3u);
   EXPECT_LE(st.late_partials, 4u);  // 4 surviving non-origin reporters
+}
+
+// A one-shot query costs one dissemination wave: scan members end on the
+// origin's ack of their epoch report, join members at the origin's known
+// close time (issued_at + result_wait) plus 2 s of grace, so no teardown
+// wave follows the answer.
+TEST(QueryLifecycleTest, OneShotQueriesCostOneBroadcastWave) {
+  PierNetwork net(32, ChordOpts(89));
+  net.Boot(Seconds(60));
+  RegisterEverywhere(net, AlertsTable());
+  RegisterEverywhere(net, RulesTable());
+  std::vector<std::tuple<int, std::string, int>> alerts;
+  for (int i = 0; i < 48; ++i) {
+    alerts.push_back({i % 8, "a" + std::to_string(i), i});
+  }
+  PublishAlerts(net, alerts);
+  for (int rule = 0; rule < 6; ++rule) {
+    ASSERT_TRUE(net.node(static_cast<size_t>(rule) * 5)
+                    ->query_engine()
+                    ->Publish("rules", Tuple{Value::Int64(rule),
+                                             Value::Int64(rule * 10)})
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+
+  auto waves = [&net] {
+    uint64_t n = 0;
+    for (size_t i = 0; i < net.size(); ++i) {
+      n += net.node(i)->broadcast()->stats().initiated;
+    }
+    return n;
+  };
+  auto live_on = [&net](uint64_t qid) {
+    size_t n = 0;
+    for (size_t i = 0; i < net.size(); ++i) {
+      n += net.node(i)->query_engine()->HasLiveQuery(qid) ? 1 : 0;
+    }
+    return n;
+  };
+  const Duration result_wait = ChordOpts().node.engine.result_wait;
+
+  // Scan: accountable, so members end on the report ack. Probe half a
+  // second after the answer, long before any close timer could fire.
+  QueryPlan scan;
+  scan.graph = SelectGraph("alerts", AlertsTable().schema);
+  auto scan_oracle = testkit::OracleEvaluate(net, scan);
+  ASSERT_TRUE(scan_oracle.ok()) << scan_oracle.status().ToString();
+  uint64_t waves_before = waves();
+  const TimePoint scan_issued = net.sim()->now();
+  std::vector<ResultBatch> scan_batches;
+  TimePoint scan_answered = 0;
+  size_t scan_live_after_answer = 0;
+  uint64_t scan_qid = 0;
+  auto scan_id = net.node(3)->query_engine()->Execute(
+      scan, [&](const ResultBatch& b) {
+        scan_batches.push_back(b);
+        scan_answered = net.sim()->now();
+        net.sim()->ScheduleAfter(Millis(500), [&] {
+          scan_live_after_answer = live_on(scan_qid);
+        });
+      });
+  ASSERT_TRUE(scan_id.ok()) << scan_id.status().ToString();
+  scan_qid = scan_id.value();
+  net.RunFor(result_wait + Seconds(4));
+  ASSERT_EQ(scan_batches.size(), 1u);
+  EXPECT_LT(scan_answered + Millis(500), scan_issued + result_wait);
+  EXPECT_EQ(scan_live_after_answer, 0u);
+  EXPECT_EQ(waves() - waves_before, 1u);
+  testkit::OracleScore scan_score =
+      testkit::ScoreAnswer(scan_oracle.value(), scan_batches[0].rows);
+  EXPECT_EQ(scan_score.matched, scan_score.oracle_rows)
+      << scan_score.ToString();
+  EXPECT_EQ(scan_score.answer_rows, scan_score.oracle_rows);
+
+  // Symmetric-hash join: not accountable, so members end at the known close
+  // time plus grace. Probe just after it.
+  QueryPlan join;
+  join.graph = JoinGraph(ScanOp("alerts", AlertsTable().schema),
+                         ScanOp("rules", RulesTable().schema),
+                         JoinOp(JoinStrategy::kSymmetricHash, {0}, {0}),
+                         nullptr, ProjectOp({Expr::Column(1), Expr::Column(4)}));
+  auto join_oracle = testkit::OracleEvaluate(net, join);
+  ASSERT_TRUE(join_oracle.ok()) << join_oracle.status().ToString();
+  waves_before = waves();
+  const TimePoint join_issued = net.sim()->now();
+  std::vector<ResultBatch> join_batches;
+  auto join_id = net.node(11)->query_engine()->Execute(
+      join, [&](const ResultBatch& b) { join_batches.push_back(b); });
+  ASSERT_TRUE(join_id.ok()) << join_id.status().ToString();
+  const uint64_t join_qid = join_id.value();
+  size_t join_live_before_close = 0;
+  size_t join_live_after_close = 0;
+  net.sim()->ScheduleAt(join_issued + result_wait + Seconds(1), [&] {
+    join_live_before_close = live_on(join_qid);
+  });
+  net.sim()->ScheduleAt(join_issued + result_wait + Seconds(2) + Millis(1),
+                        [&] { join_live_after_close = live_on(join_qid); });
+  net.RunFor(result_wait + Seconds(4));
+  ASSERT_EQ(join_batches.size(), 1u);
+  // Between the origin's close and the members' close timer the members
+  // still hold the join: nothing told them to end.
+  EXPECT_GT(join_live_before_close, 0u);
+  EXPECT_EQ(join_live_after_close, 0u);
+  EXPECT_EQ(waves() - waves_before, 1u);
+  testkit::OracleScore join_score =
+      testkit::ScoreAnswer(join_oracle.value(), join_batches[0].rows);
+  EXPECT_EQ(join_score.matched, join_score.oracle_rows)
+      << join_score.ToString();
+  EXPECT_EQ(join_score.answer_rows, join_score.oracle_rows);
+  EXPECT_GT(join_score.oracle_rows, 0u);
+
+  testkit::CheckContext ctx;
+  ctx.net = &net;
+  Status hygiene = testkit::ExchangeHygieneChecker().Check(ctx);
+  EXPECT_TRUE(hygiene.ok()) << hygiene.ToString();
 }
 
 TEST(QueryRobustnessTest, EngineStatsAccumulate) {

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "query/plan.h"
 #include "sim/fault_plane.h"
 #include "sim/network.h"
 #include "testkit/scenario.h"
@@ -649,7 +651,7 @@ TEST(ScenarioTest, CancelledQueryFreesExchangeStateBeforeTtl) {
 }
 
 // Post-run probe for the origin-crash scenario: every surviving member must
-// have reclaimed the orphaned query on its own (origin-liveness lease), and
+// have reclaimed the orphaned query on its own (its close timer), and
 // no member may still carry it in its active-query table.
 class MemberReclaimChecker : public InvariantChecker {
  public:
@@ -675,11 +677,11 @@ class MemberReclaimChecker : public InvariantChecker {
   }
 };
 
-// The origin crashes mid-query, before it could broadcast kQueryEnd. No
-// member may wait on the dead origin forever: the origin-liveness lease
-// (issue + result_wait + member_lease ~ +28s) reclaims stage state and
-// exchange namespaces well before the 90s exchange TTL, with zero leaked
-// payload buffers.
+// The origin crashes mid-query, before its result window closes. No member
+// may wait on the dead origin forever: the one-shot close timer (issue +
+// result_wait + 2 s of grace, ~ +10s) reclaims stage state and exchange
+// namespaces well before the 90s exchange TTL, with zero leaked payload
+// buffers.
 TEST(ScenarioTest, OriginCrashMidQueryReclaimsMemberState) {
   Scenario s(/*seed=*/4219);
   s.WithNodes(8)
@@ -690,8 +692,8 @@ TEST(ScenarioTest, OriginCrashMidQueryReclaimsMemberState) {
       .PublishRows("rules", RuleRows(4))
       .AddQuery({.sql = kJoinSql, .issue_at = Seconds(30), .origin = 1})
       .At(Seconds(32), [](core::PierNetwork& net) { net.node(1)->Crash(); })
-      // Leases fire around t=58s and the reclaimed queries GC 30s later;
-      // check only after both have clearly passed.
+      // Close timers fire around t=40s and the reclaimed queries GC 30s
+      // later; check only after both have clearly passed.
       .WithHealSettle(Seconds(60))
       .WithDefaultCheckers()
       .WithChecker(std::make_unique<ExchangeHygieneChecker>())
@@ -700,6 +702,189 @@ TEST(ScenarioTest, OriginCrashMidQueryReclaimsMemberState) {
   EXPECT_TRUE(report.ok()) << report.ToString();
   ASSERT_EQ(report.queries.size(), 1u);
   EXPECT_FALSE(report.queries[0].completed);
+}
+
+TableDef LinksTable() {
+  TableDef def;
+  def.name = "links";
+  def.schema = Schema("links", {{"src", ValueType::kString},
+                                {"dst", ValueType::kString}});
+  def.partition_cols = {0};  // recursion requires partitioning on src
+  def.ttl = Seconds(600);
+  return def;
+}
+
+std::vector<Tuple> ChainLinks(int n) {
+  std::vector<Tuple> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(Tuple{Value::String("v" + std::to_string(i)),
+                         Value::String("v" + std::to_string(i + 1))});
+  }
+  return rows;
+}
+
+// The id of the first query node `index` issues (query ids are the origin's
+// host + 1 in the top half, its issue sequence from 1 in the bottom half).
+uint64_t FirstQueryId(core::PierNetwork& net, size_t index) {
+  return (static_cast<uint64_t>(net.node(index)->host()) + 1) << 32 | 1;
+}
+
+size_t NodesWithLiveQuery(core::PierNetwork& net, uint64_t qid) {
+  size_t n = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    core::PierNode* node = net.node(i);
+    if (node->alive() && node->query_engine()->HasLiveQuery(qid)) ++n;
+  }
+  return n;
+}
+
+// Alive nodes holding live items in query `qid`'s recursion namespace.
+size_t NodesWithReachState(core::PierNetwork& net, uint64_t qid) {
+  const std::string ns = "q" + std::to_string(qid) + ".reach";
+  size_t n = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    core::PierNode* node = net.node(i);
+    if (node->alive() &&
+        !node->dht()->local_store()->Scan(ns, net.sim()->now()).empty()) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// One-shot queries end without a teardown wave, also under 20% loss on
+// every link. A scan member ends on the origin's ack of its epoch report;
+// with ~30 report acks crossing lossy links some are lost, the member
+// retransmits its report, and the origin acks it even once the query has
+// ended there or been forgotten. So one second past each scan's result
+// window, before any member's close timer (issue + result_wait + 2 s),
+// no node holds the scan. Join members end on that close timer. A
+// recursion that quiesces early closes before members could know, so its
+// origin still broadcasts the end wave, which frees q<id>.reach long
+// before the members' own close timer (issue + recursion_deadline + 2 s).
+TEST(ScenarioTest, OneShotQueriesEndWithoutTeardownWaveUnderLoss) {
+  Scenario s(/*seed=*/4223);
+  FaultScript script;
+  FaultDirective loss;
+  loss.kind = FaultDirective::Kind::kLoss;
+  loss.from = 0;
+  loss.until = Seconds(200);
+  loss.probability = 0.2;
+  script.directives.push_back(loss);  // empty groups = every link
+
+  const Duration result_wait = s.options().node.engine.result_wait;
+  const Duration recursion_deadline =
+      s.options().node.engine.recursion_deadline;
+  constexpr size_t kScanOrigins[] = {1, 2, 3};
+  constexpr size_t kJoinOrigin = 4;
+  constexpr size_t kRecursionOrigin = 5;
+  // Origin index -> the query id derived for it, recorded just after issue
+  // while the origin holds the query live (a probe must not be vacuous).
+  std::map<size_t, uint64_t> derived_qid;
+  auto remember = [&derived_qid](size_t origin) {
+    return [&derived_qid, origin](core::PierNetwork& net) {
+      uint64_t qid = FirstQueryId(net, origin);
+      if (net.node(origin)->query_engine()->HasLiveQuery(qid)) {
+        derived_qid[origin] = qid;
+      }
+    };
+  };
+  size_t scans_live_after_window = 0;
+  size_t join_live_before_close = 0;
+  size_t join_live_after_close = 0;
+  size_t reach_holders_mid_query = 0;
+  size_t recursion_live_after_quiesce = 0;
+  size_t reach_holders_after_quiesce = 0;
+  std::vector<query::ResultBatch> recursion_batches;
+
+  s.WithNodes(10)
+      .WithRouter(RouterKind::kOneHop)
+      .WithTable(AlertsTable())
+      .WithTable(RulesTable())
+      .WithTable(LinksTable())
+      .PublishRows("alerts", AlertRows(40))
+      .PublishRows("rules", RuleRows(4))
+      .PublishRows("links", ChainLinks(6))
+      .WithFaults(script);
+  for (size_t i = 0; i < 3; ++i) {
+    const TimePoint issue = Seconds(40) + static_cast<Duration>(i) * Seconds(1);
+    const size_t origin = kScanOrigins[i];
+    s.AddQuery({.sql = kScanSql,
+                .issue_at = issue,
+                .origin = origin,
+                .wait = 0,
+                .min_recall = 1.0,
+                .min_precision = 1.0})
+        .At(issue + Millis(1), remember(origin))
+        .At(issue + result_wait + Seconds(1),
+            [&, origin](core::PierNetwork& net) {
+              scans_live_after_window +=
+                  NodesWithLiveQuery(net, FirstQueryId(net, origin));
+            });
+  }
+  // No answer floors on the join or the recursion: this scenario checks
+  // their lifecycle. Under this loss the join's answer carries duplicate
+  // rows and the recursion misses pairs, on the wave-based teardown too.
+  const TimePoint join_issue = Seconds(44);
+  s.AddQuery({.sql = kJoinSql, .issue_at = join_issue, .origin = kJoinOrigin})
+      .At(join_issue + Millis(1), remember(kJoinOrigin))
+      .At(join_issue + result_wait + Seconds(1),
+          [&](core::PierNetwork& net) {
+            join_live_before_close =
+                NodesWithLiveQuery(net, FirstQueryId(net, kJoinOrigin));
+          })
+      .At(join_issue + result_wait + Seconds(2) + Millis(1),
+          [&](core::PierNetwork& net) {
+            join_live_after_close =
+                NodesWithLiveQuery(net, FirstQueryId(net, kJoinOrigin));
+          });
+  const TimePoint recursion_issue = Seconds(46);
+  s.At(recursion_issue,
+       [&](core::PierNetwork& net) {
+         query::QueryPlan plan;
+         plan.graph = query::RecursiveGraph("links", LinksTable().schema,
+                                            /*src_col=*/0, /*dst_col=*/1,
+                                            /*max_hops=*/8);
+         ASSERT_TRUE(net.node(kRecursionOrigin)
+                         ->query_engine()
+                         ->Execute(plan,
+                                   [&](const query::ResultBatch& b) {
+                                     recursion_batches.push_back(b);
+                                   })
+                         .ok());
+       })
+      .At(recursion_issue + Millis(1), remember(kRecursionOrigin))
+      .At(recursion_issue + Seconds(3),
+          [&](core::PierNetwork& net) {
+            reach_holders_mid_query =
+                NodesWithReachState(net, FirstQueryId(net, kRecursionOrigin));
+          })
+      .At(recursion_issue + Seconds(45), [&](core::PierNetwork& net) {
+        uint64_t qid = FirstQueryId(net, kRecursionOrigin);
+        recursion_live_after_quiesce = NodesWithLiveQuery(net, qid);
+        reach_holders_after_quiesce = NodesWithReachState(net, qid);
+      });
+  s.WithHealSettle(Seconds(40))
+      .WithDefaultCheckers()
+      .WithChecker(std::make_unique<ExchangeHygieneChecker>());
+  ScenarioReport report = s.Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_GT(report.messages_faulted, 0u);
+  ASSERT_EQ(report.queries.size(), 4u);
+  ASSERT_EQ(derived_qid.size(), 5u);
+  for (const QueryOutcome& q : report.queries) {
+    ASSERT_TRUE(q.completed) << q.sql;
+    EXPECT_EQ(q.batch.query_id, derived_qid[q.origin]) << q.sql;
+  }
+  EXPECT_EQ(scans_live_after_window, 0u);
+  EXPECT_GT(join_live_before_close, 0u);
+  EXPECT_EQ(join_live_after_close, 0u);
+  ASSERT_EQ(recursion_batches.size(), 1u);
+  EXPECT_FALSE(recursion_batches[0].rows.empty());
+  EXPECT_GT(reach_holders_mid_query, 0u);
+  EXPECT_LT(Seconds(45), recursion_deadline);
+  EXPECT_EQ(recursion_live_after_quiesce, 0u);
+  EXPECT_EQ(reach_holders_after_quiesce, 0u);
 }
 
 // Bloom-friendly statistics: large declared relations with skewed key
