@@ -14,14 +14,19 @@
 //              scan stage) — the index's headline claim: work scales with
 //              the answer, not the overlay;
 //   traffic    bytes sent network-wide during the query;
+//   rounds     the index walk's longest chain of dependent DHT gets — its
+//              critical path in round trips (EngineStats::index_rounds);
 //   rows       answer size, self-checked against the expected count.
 //
-// `--json[=path]` runs the 64-node / 1% point and merges machine-readable
-// metrics (shared common/bench_json schema). The self-check gates the exit
-// code: both paths must return the exact expected rows, the index must
-// touch < 25% of the overlay while the scan touches all of it, and both
-// answers must close well inside the result window (all virtual-time, so
-// the check is deterministic, never a wall-clock flake).
+// `--json[=path]` runs the 64-node / 1% point plus the 10% index answer at
+// 64 and 256 nodes, and merges machine-readable metrics (shared
+// common/bench_json schema). The self-check gates the exit code: both paths
+// must return the exact expected rows, the index must touch < 25% of the
+// overlay while the scan touches all of it, both answers must close well
+// inside the result window, and the index must answer a 10% range in under
+// kWideRangeBound at both sizes (all virtual-time, so the check is
+// deterministic, never a wall-clock flake). The sweep applies the same row
+// checks and the 10% bound.
 
 #include <cinttypes>
 #include <cstdio>
@@ -41,6 +46,10 @@ using catalog::Tuple;
 
 constexpr int kRows = 2000;
 constexpr int64_t kDomain = 100000;  // values are i * (kDomain / kRows)
+/// Virtual-time bound on the index answer at 10% selectivity: the
+/// pipelined walk reads a 200-row range in a few round trips, where a
+/// leaf-by-leaf walk needs one per leaf.
+constexpr double kWideRangeBound = 2.0;
 
 TableDef ReadingsTable() {
   TableDef def;
@@ -66,6 +75,7 @@ struct QueryCost {
   double answer_s = 0;     // virtual time to the result batch
   size_t contacted = 0;    // nodes that served gets or ran scans
   uint64_t bytes = 0;
+  uint64_t rounds = 0;     // index walk's critical path in DHT round trips
   bool used_index = false;
 };
 
@@ -111,7 +121,9 @@ QueryCost RunQuery(core::PierNetwork& net, double selectivity,
     scans_before.push_back(net.node(i)->query_engine()->stats().scans_run);
   }
   uint64_t bytes_before = TotalBytes(net);
-  uint64_t idx_before = net.node(0)->query_engine()->stats().index_scans_run;
+  const query::EngineStats& origin = net.node(0)->query_engine()->stats();
+  uint64_t idx_before = origin.index_scans_run;
+  uint64_t rounds_before = origin.index_rounds;
 
   planner::PlannerOptions popts;
   popts.use_index = use_index;
@@ -140,8 +152,8 @@ QueryCost RunQuery(core::PierNetwork& net, double selectivity,
         net.node(i)->query_engine()->stats().scans_run > scans_before[i];
     if (served || scanned) ++cost.contacted;
   }
-  cost.used_index =
-      net.node(0)->query_engine()->stats().index_scans_run > idx_before;
+  cost.used_index = origin.index_scans_run > idx_before;
+  cost.rounds = origin.index_rounds - rounds_before;
   cost.ok = t_done != 0 && cost.rows == expect;
   if (!cost.ok) {
     std::printf("  SELF-CHECK FAILED: rows=%zu expect=%zu done=%d\n",
@@ -150,22 +162,37 @@ QueryCost RunQuery(core::PierNetwork& net, double selectivity,
   return cost;
 }
 
-void SweepAt(size_t nodes) {
+/// Applies the wide-range bound to an index answer at 10% selectivity.
+bool WideRangeOk(const QueryCost& idx, size_t nodes) {
+  bool ok = idx.ok && idx.used_index && idx.answer_s < kWideRangeBound;
+  if (!ok) {
+    std::printf("  SELF-CHECK FAILED: %zu nodes, 10%% index answer %.2fs "
+                "(bound %.1fs)\n",
+                nodes, idx.answer_s, kWideRangeBound);
+  }
+  return ok;
+}
+
+bool SweepAt(size_t nodes) {
   Deployment d(nodes);
+  bool ok = true;
   std::printf("\n== %zu nodes, %d rows ==\n", nodes, kRows);
-  std::printf("%7s %7s %8s %9s %12s %8s %9s %12s %9s\n", "sel.%", "rows",
-              "idx.t.s", "idx.touch", "idx.KiB", "scan.t.s", "scan.touch",
-              "scan.KiB", "speedup");
+  std::printf("%7s %7s %8s %10s %9s %12s %8s %9s %12s %9s\n", "sel.%",
+              "rows", "idx.t.s", "idx.rounds", "idx.touch", "idx.KiB",
+              "scan.t.s", "scan.touch", "scan.KiB", "speedup");
   for (double sel : {0.001, 0.01, 0.1, 1.0}) {
     QueryCost idx = RunQuery(*d.net, sel, /*use_index=*/true);
     QueryCost scan = RunQuery(*d.net, sel, /*use_index=*/false);
-    std::printf("%7.1f %7zu %8.2f %6zu/%-2zu %12.1f %8.2f %7zu/%-2zu %12.1f"
-                " %8.1fx\n",
-                sel * 100, idx.rows, idx.answer_s, idx.contacted, nodes,
-                idx.bytes / 1024.0, scan.answer_s, scan.contacted, nodes,
-                scan.bytes / 1024.0,
+    ok = ok && idx.ok && scan.ok;
+    if (sel == 0.1) ok = WideRangeOk(idx, nodes) && ok;
+    std::printf("%7.1f %7zu %8.2f %10" PRIu64
+                " %6zu/%-2zu %12.1f %8.2f %7zu/%-2zu %12.1f %8.1fx\n",
+                sel * 100, idx.rows, idx.answer_s, idx.rounds, idx.contacted,
+                nodes, idx.bytes / 1024.0, scan.answer_s, scan.contacted,
+                nodes, scan.bytes / 1024.0,
                 idx.answer_s > 0 ? scan.answer_s / idx.answer_s : 0.0);
   }
+  return ok;
 }
 
 }  // namespace
@@ -181,6 +208,9 @@ int main(int argc, char** argv) {
     Deployment d(64);
     QueryCost idx = RunQuery(*d.net, 0.01, /*use_index=*/true);
     QueryCost scan = RunQuery(*d.net, 0.01, /*use_index=*/false);
+    QueryCost wide64 = RunQuery(*d.net, 0.1, /*use_index=*/true);
+    Deployment d256(256);
+    QueryCost wide256 = RunQuery(*d256.net, 0.1, /*use_index=*/true);
     double wall = timer.Seconds();
     double speedup = idx.answer_s > 0 ? scan.answer_s / idx.answer_s : 0.0;
     // The reliable plane's certified early finalize freed the broadcast
@@ -189,18 +219,26 @@ int main(int argc, char** argv) {
     // gates is the work contract — the index touches a sliver of the
     // overlay, the scan touches all of it — plus both paths closing well
     // inside the 10s window (the scan's early certification is itself a
-    // gated behavior now).
+    // gated behavior now). A 10% range must stay within a few round trips
+    // of the 1% one at both overlay sizes.
     bool ok = idx.ok && scan.ok && idx.used_index && idx.contacted * 4 < 64 &&
               scan.contacted == 64 && idx.answer_s < 5.0 &&
               scan.answer_s < 5.0;
+    ok = WideRangeOk(wide64, 64) && ok;
+    ok = WideRangeOk(wide256, 256) && ok;
     std::printf(
-        "index: %.3fs %zu nodes touched; scan: %.3fs %zu nodes touched; "
-        "speedup %.1fx; wall %.2fs; self-check %s\n",
-        idx.answer_s, idx.contacted, scan.answer_s, scan.contacted, speedup,
-        wall, ok ? "OK" : "FAILED");
+        "index: %.3fs %" PRIu64 " rounds %zu nodes touched; scan: %.3fs %zu "
+        "nodes touched; speedup %.1fx; 10%% index: %.3fs @64 %.3fs @256; "
+        "wall %.2fs; self-check %s\n",
+        idx.answer_s, idx.rounds, idx.contacted, scan.answer_s,
+        scan.contacted, speedup, wide64.answer_s, wide256.answer_s, wall,
+        ok ? "OK" : "FAILED");
     bench::JsonReport report("bench_range_scan");
     report.Metric("wall_clock", wall, "s");
     report.Metric("index_answer_time", idx.answer_s, "s");
+    report.Metric("index_rounds", static_cast<double>(idx.rounds), "count");
+    report.Metric("index_answer_time_10pct_64", wide64.answer_s, "s");
+    report.Metric("index_answer_time_10pct_256", wide256.answer_s, "s");
     report.Metric("scan_answer_time", scan.answer_s, "s");
     report.Metric("speedup", speedup, "x");
     report.Metric("index_nodes_contacted",
@@ -220,11 +258,12 @@ int main(int argc, char** argv) {
   std::printf("== PHT range scan vs. broadcast scan ==\n");
   std::printf("selectivity sweep over %d rows; both paths answer the same "
               "BETWEEN predicate\n", kRows);
-  SweepAt(64);
-  SweepAt(256);
+  bool ok = SweepAt(64);
+  ok = SweepAt(256) && ok;
   std::printf("\nexpected shape: index answer time and touched nodes stay "
               "~flat with overlay size and grow with selectivity; the scan "
               "touches every node at any selectivity but closes early once "
               "the origin certifies every member reported loss-free\n");
-  return 0;
+  std::printf("self-check %s\n", ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
 }

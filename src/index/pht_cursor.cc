@@ -1,11 +1,23 @@
 #include "index/pht_cursor.h"
 
+#include <algorithm>
+
 namespace pier {
 namespace index {
 
-PhtCursor::PhtCursor(GetFn get, uint64_t lo, uint64_t hi,
-                     uint64_t max_leaves)
-    : get_(std::move(get)), lo_(lo), hi_(hi), max_leaves_(max_leaves) {}
+namespace {
+
+/// Bits of a key a depth-`depth` prefix fixes.
+uint64_t Mask(int depth) {
+  return depth == 0 ? 0 : ~0ull << (kKeyBits - depth);
+}
+
+}  // namespace
+
+uint64_t PhtCursor::Node::last() const { return first | ~Mask(depth); }
+
+PhtCursor::PhtCursor(GetFn get, uint64_t lo, uint64_t hi)
+    : get_(std::move(get)), lo_(lo), hi_(hi) {}
 
 void PhtCursor::Run(RowFn row, DoneFn done) {
   row_ = std::move(row);
@@ -14,30 +26,40 @@ void PhtCursor::Run(RowFn row, DoneFn done) {
     Finish(Outcome::kOk, Status::OK());
     return;
   }
-  cur_key_ = lo_;
-  Locate();
+  searches_.push_back(Search{lo_, lo_, 0, kKeyBits});
+  ready_searches_.push_back(0);
+  Pump();
 }
 
-void PhtCursor::Locate() {
-  lo_depth_ = 0;
-  hi_depth_ = kKeyBits;
-  use_hint_ = depth_hint_ >= 0;
-  Probe();
-}
-
-int PhtCursor::ProbeDepth() const {
-  if (use_hint_) {
-    int d = depth_hint_;
-    if (d < lo_depth_) d = lo_depth_;
-    if (d > hi_depth_) d = hi_depth_;
-    return d;
+void PhtCursor::Pump() {
+  // Searches first (each one gates a whole region), then children of
+  // internal nodes, then the lazily generated depth-d prefixes.
+  while (!finished_ && inflight_.size() < kWindow) {
+    Node node;
+    if (!ready_searches_.empty()) {
+      size_t s = ready_searches_.front();
+      ready_searches_.pop_front();
+      if (Step(s, &node)) Send(node, /*range=*/false, s);
+    } else if (!children_.empty()) {
+      node = children_.front();
+      children_.pop_front();
+      if (!Covered(node.first, node.last())) Send(node, /*range=*/true, 0);
+    } else if (NextGenerated(&node)) {
+      Send(node, /*range=*/true, 0);
+    } else {
+      break;
+    }
   }
-  return (lo_depth_ + hi_depth_) / 2;
+  if (!finished_ && gen_done_ && inflight_.empty() &&
+      ready_searches_.empty() && children_.empty()) {
+    Finish(Outcome::kOk, Status::OK());
+  }
 }
 
-void PhtCursor::Probe() {
-  while (!finished_) {
-    if (lo_depth_ > hi_depth_) {
+bool PhtCursor::Step(size_t s, Node* need) {
+  Search& se = searches_[s];
+  while (!Covered(se.first, se.last)) {
+    if (se.lo_depth > se.hi_depth) {
       // No leaf anywhere on this key's path. In a healthy trie that cannot
       // happen: splits materialize BOTH children, so every path ends at a
       // leaf marker (possibly with zero entries). Converging on nothing
@@ -45,34 +67,60 @@ void PhtCursor::Probe() {
       // report an error so the query layer falls back to a broadcast scan
       // rather than pass damage off as an empty region. Converging on an
       // entirely silent trie means the index is cold.
+      se.open = false;
       if (!saw_trie_state_) {
         Finish(Outcome::kColdIndex, Status::OK());
       } else {
         Finish(Outcome::kError,
                Status::Unavailable("pht path lost its leaf (churn)"));
       }
-      return;
+      return false;
     }
-    int depth = ProbeDepth();
-    // Prefixes already known internal resolve without the network: sibling
-    // locates share the upper trie path.
-    if (known_internal_.count(Prefix(cur_key_, depth)) > 0) {
-      use_hint_ = false;
-      lo_depth_ = depth + 1;
-      continue;
+    int depth = (se.lo_depth + se.hi_depth) / 2;
+    Node node{se.first & Mask(depth), depth};
+    std::string prefix = Prefix(se.first, depth);
+    // A prefix above a found leaf is internal: no get needed.
+    auto below = covered_.lower_bound(node.first);
+    if (known_internal_.count(prefix) > 0 ||
+        (below != covered_.end() && below->first <= node.last())) {
+      se.lo_depth = depth + 1;
+    } else if (known_empty_.count(prefix) > 0) {
+      se.hi_depth = depth - 1;
+    } else {
+      *need = node;
+      return true;
     }
-    if (stats_.probes >= kMaxProbes) {
-      Finish(Outcome::kError,
-             Status::Unavailable("pht walk exceeded budget"));
-      return;
+  }
+  se.open = false;
+  return false;  // a found leaf covers this search's region
+}
+
+void PhtCursor::Send(const Node& node, bool range, size_t search) {
+  std::string prefix = Prefix(node.first, node.depth);
+  auto it = inflight_.find(prefix);
+  if (it != inflight_.end()) {
+    // Adjacent empty prefixes search the same upper path: share the get.
+    if (range) {
+      it->second.range = true;
+    } else {
+      it->second.searches.push_back(search);
     }
-    ++stats_.probes;
-    get_(Prefix(cur_key_, depth),
-         [this](Status s, std::vector<dht::DhtItem> items) {
-           OnProbe(std::move(s), std::move(items));
-         });
     return;
   }
+  if (stats_.probes >= kMaxProbes) {
+    Finish(Outcome::kError, Status::Unavailable("pht walk exceeded budget"));
+    return;
+  }
+  ++stats_.probes;
+  Probe& probe = inflight_[prefix];
+  probe.node = node;
+  probe.round = cur_round_ + 1;
+  probe.range = range;
+  if (!range) probe.searches.push_back(search);
+  stats_.rounds = std::max(stats_.rounds, probe.round);
+  get_(prefix, [this, prefix](Status s, std::vector<dht::DhtItem> items) {
+    OnReply(prefix, std::move(s), std::move(items));
+  });
 }
 
 PhtCursor::NodeClass PhtCursor::Classify(
@@ -95,45 +143,119 @@ PhtCursor::NodeClass PhtCursor::Classify(
   return has_entries ? NodeClass::kLeaf : NodeClass::kEmpty;
 }
 
-void PhtCursor::OnProbe(Status s, std::vector<dht::DhtItem> items) {
+void PhtCursor::OnReply(const std::string& prefix, Status s,
+                        std::vector<dht::DhtItem> items) {
   if (finished_) return;
+  auto it = inflight_.find(prefix);
+  if (it == inflight_.end()) return;
+  Probe probe = std::move(it->second);
+  inflight_.erase(it);
   if (!s.ok()) {
     Finish(Outcome::kError, std::move(s));
     return;
   }
-  int depth = ProbeDepth();
-  use_hint_ = false;  // the hint is only ever the first probe of a locate
-  switch (Classify(items)) {
+  cur_round_ = probe.round;
+  NodeClass cls = Classify(items);
+  switch (cls) {
     case NodeClass::kInternal:
       saw_trie_state_ = true;
-      known_internal_.insert(Prefix(cur_key_, depth));
+      known_internal_.insert(prefix);
       // Internal nodes can hold residual entries: moves awaiting (or
       // denied) their child ack during a partition, or failover ghosts.
-      // Reading them here is what makes "no key lost across a split" hold
-      // under arbitrary fault timing; the instance dedup keeps exactness.
-      EmitLeaf(Prefix(cur_key_, depth), items);
-      if (finished_) return;
-      lo_depth_ = depth + 1;
-      Probe();
-      return;
-    case NodeClass::kLeaf: {
+      // Reading them is what makes "no key lost across a split" hold under
+      // arbitrary fault timing; the instance dedup keeps exactness.
+      Emit(items);
+      break;
+    case NodeClass::kLeaf:
       saw_trie_state_ = true;
-      ++stats_.leaves;
-      depth_hint_ = depth;
-      std::string prefix = Prefix(cur_key_, depth);
-      EmitLeaf(prefix, items);
-      if (!finished_) Advance(prefix);
+      if (!Covered(probe.node.first, probe.node.last())) {
+        ++stats_.leaves;
+        Cover(probe.node);
+        if (gen_depth_ < 0) {
+          // The leaf covering `lo`: the window walks its depth.
+          gen_depth_ = probe.node.depth;
+          uint64_t last = probe.node.last();
+          gen_done_ = last >= hi_;
+          gen_next_ = last + 1;
+        }
+        Emit(items);
+      }
+      break;
+    case NodeClass::kEmpty:
+      known_empty_.insert(prefix);
+      break;
+  }
+  if (finished_) return;
+  if (probe.range) OnRange(probe.node, cls);
+  if (finished_) return;
+  for (size_t s : probe.searches) ready_searches_.push_back(s);
+  Pump();
+}
+
+void PhtCursor::OnRange(const Node& node, NodeClass cls) {
+  switch (cls) {
+    case NodeClass::kLeaf:
+      return;
+    case NodeClass::kInternal: {
+      if (node.depth >= kKeyBits) {
+        Finish(Outcome::kError,
+               Status::Corruption("pht internal node at max depth"));
+        return;
+      }
+      for (uint64_t bit : {0ull, 1ull}) {
+        Node child{node.first | (bit << (kKeyBits - 1 - node.depth)),
+                   node.depth + 1};
+        if (child.first <= hi_ && child.last() >= lo_) {
+          children_.push_back(child);
+        }
+      }
       return;
     }
-    case NodeClass::kEmpty:
-      hi_depth_ = depth - 1;
-      Probe();
+    case NodeClass::kEmpty: {
+      if (Covered(node.first, node.last())) return;  // a search got there
+      // Splits materialize both children: an empty child of a node known
+      // to be internal is lost trie state, not an empty region.
+      if (known_internal_.count(Prefix(node.first, node.depth - 1)) > 0) {
+        Finish(Outcome::kError,
+               Status::Unavailable("pht internal node lost a child (churn)"));
+        return;
+      }
+      // A shallower leaf covers this prefix: search the depths above it.
+      searches_.push_back(Search{node.first, node.last(), 0, node.depth - 1});
+      ready_searches_.push_back(searches_.size() - 1);
       return;
+    }
   }
 }
 
-void PhtCursor::EmitLeaf(const std::string& /*prefix*/,
-                         const std::vector<dht::DhtItem>& items) {
+bool PhtCursor::NextGenerated(Node* out) {
+  while (gen_depth_ >= 0 && !gen_done_) {
+    Node node{gen_next_, gen_depth_};
+    // An open search's leaf lies under prefix(first, lo_depth) and may
+    // cover this prefix too: hold the generator until it settles rather
+    // than fetch prefixes that are likely empty.
+    for (const Search& se : searches_) {
+      if (se.open && node.first <= (se.first | ~Mask(se.lo_depth))) {
+        return false;
+      }
+    }
+    uint64_t last = node.last();
+    // A found leaf covering this prefix covers a whole aligned run of
+    // depth-d prefixes: jump past its range instead of stepping through.
+    auto it = covered_.upper_bound(node.first);
+    bool covered = it != covered_.begin() && std::prev(it)->second >= last;
+    if (covered) last = std::prev(it)->second;
+    gen_done_ = last >= hi_;
+    gen_next_ = last + 1;
+    if (!covered) {
+      *out = node;
+      return true;
+    }
+  }
+  return false;
+}
+
+void PhtCursor::Emit(const std::vector<dht::DhtItem>& items) {
   for (const dht::DhtItem& item : items) {
     if (item.key.instance == kMarkerInstance) continue;
     PhtEntry entry;
@@ -143,28 +265,25 @@ void PhtCursor::EmitLeaf(const std::string& /*prefix*/,
     if (entry.key < lo_ || entry.key > hi_) continue;
     if (!emitted_instances_.insert(item.key.instance).second) continue;
     ++stats_.entries_emitted;
-    if (!row_(entry, item.key.instance)) {
+    if (!row_(entry)) {
       Finish(Outcome::kOk, Status::OK());
       return;
     }
   }
 }
 
-void PhtCursor::Advance(const std::string& leaf_prefix) {
-  uint64_t next = 0;
-  if (leaf_prefix.empty() || !NextKeyAfterPrefix(leaf_prefix, &next) ||
-      next > hi_) {
-    // The root leaf covers everything / walked off the top of the keyspace
-    // / the next region starts past the range: done.
-    Finish(Outcome::kOk, Status::OK());
-    return;
-  }
-  cur_key_ = next;
-  if (max_leaves_ > 0 && stats_.leaves >= max_leaves_) {
-    Finish(Outcome::kMore, Status::OK());  // resume point in next_key()
-    return;
-  }
-  Locate();
+bool PhtCursor::Covered(uint64_t first, uint64_t last) const {
+  auto it = covered_.upper_bound(first);
+  return it != covered_.begin() && std::prev(it)->second >= last;
+}
+
+void PhtCursor::Cover(const Node& leaf) {
+  // Prefix ranges nest or are disjoint: a new range either sits inside a
+  // kept one (Covered) or encloses every kept range starting within it.
+  uint64_t last = leaf.last();
+  auto it = covered_.lower_bound(leaf.first);
+  while (it != covered_.end() && it->first <= last) it = covered_.erase(it);
+  covered_[leaf.first] = last;
 }
 
 void PhtCursor::Finish(Outcome outcome, Status s) {

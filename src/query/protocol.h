@@ -109,6 +109,9 @@ struct EngineStats {
   uint64_t index_scans_run = 0;      ///< cursor walks started
   uint64_t index_probes = 0;         ///< trie-node DHT gets issued
   uint64_t index_leaves = 0;         ///< leaves visited across walks
+  /// Longest chain of dependent probes per walk, summed over walks: the
+  /// round trips on the index's critical path.
+  uint64_t index_rounds = 0;
   uint64_t index_rows = 0;           ///< in-range rows emitted by cursors
   uint64_t index_early_finalizes = 0; ///< one-shot answers closed before
                                       ///< the result_wait deadline

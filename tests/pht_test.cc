@@ -9,11 +9,16 @@
 //     max-depth bucket);
 //   - seed-replay determinism: the same seed rebuilds the same trie and
 //     returns the same rows, logged via Rng::seed() SCOPED_TRACE like the
-//     other fuzz suites.
+//     other fuzz suites;
+//   - the cursor's pipelined walk over an in-memory trie answered in
+//     discrete rounds: exact answers on uniform, skewed, one-leaf,
+//     residual-bearing and damaged tries, with bounds on round trips and
+//     probes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -169,7 +174,7 @@ bool CursorCollect(PierNetwork* net, const std::string& ns, uint64_t lo,
   bool done = false;
   PhtCursor::Outcome outcome = PhtCursor::Outcome::kError;
   cursor.Run(
-      [&](const PhtEntry& entry, uint64_t) {
+      [&](const PhtEntry& entry) {
         Tuple t;
         if (catalog::TupleFromBytes(entry.tuple_bytes, &t).ok()) {
           rows->push_back(std::move(t));
@@ -385,6 +390,290 @@ TEST(PhtTrieTest, SeedReplayIsDeterministic) {
   auto second = run(seed);
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
+}
+
+// ---------------------------------------------------------------------------
+// PhtCursor over an in-memory trie
+// ---------------------------------------------------------------------------
+
+/// An in-memory PHT: prefix -> the items a get of it returns. Gets queue
+/// up and are answered in discrete rounds (every get sent while a round's
+/// replies are handled lands in the next round), so a test reads the walk's
+/// critical path in round trips with no network.
+class FakeTrie {
+ public:
+  /// The trie a bucket-`bucket` PHT converges to for `keys`.
+  void Build(const std::vector<uint64_t>& keys, int bucket,
+             const std::string& prefix = "") {
+    if (keys.size() <= static_cast<size_t>(bucket) ||
+        prefix.size() == static_cast<size_t>(kKeyBits)) {
+      AddMarker(prefix, /*internal=*/false);
+      for (uint64_t k : keys) AddEntry(prefix, k);
+      return;
+    }
+    AddMarker(prefix, /*internal=*/true);
+    std::vector<uint64_t> side[2];
+    for (uint64_t k : keys) {
+      side[Bit(k, static_cast<int>(prefix.size()))].push_back(k);
+    }
+    Build(side[0], bucket, prefix + "0");
+    Build(side[1], bucket, prefix + "1");
+  }
+
+  void AddMarker(const std::string& prefix, bool internal) {
+    Writer w;
+    PhtNodeRecord rec;
+    rec.internal = internal;
+    rec.Serialize(&w);
+    nodes_[prefix].push_back(Item(prefix, kMarkerInstance, w.Release()));
+  }
+
+  /// Stores `key` at `prefix` under `instance` (0 = a fresh instance).
+  void AddEntry(const std::string& prefix, uint64_t key,
+                uint64_t instance = 0) {
+    if (instance == 0) {
+      instance = ++last_instance_;
+      instance_of_[key] = instance;
+      keys_.push_back(key);
+    }
+    Writer w;
+    PhtEntry{key, "row"}.Serialize(&w);
+    nodes_[prefix].push_back(Item(prefix, instance, w.Release()));
+  }
+
+  /// The instance `key` was last stored under as a fresh entry.
+  uint64_t InstanceOf(uint64_t key) const { return instance_of_.at(key); }
+
+  void Erase(const std::string& prefix) { nodes_.erase(prefix); }
+
+  PhtCursor::GetFn GetFn() {
+    return [this](const std::string& resource, PhtCursor::GetCb cb) {
+      pending_.emplace_back(resource, std::move(cb));
+    };
+  }
+
+  /// Answers queued gets round by round until none is left.
+  uint64_t Drain() {
+    uint64_t rounds = 0;
+    while (!pending_.empty()) {
+      ++rounds;
+      std::deque<std::pair<std::string, PhtCursor::GetCb>> round;
+      round.swap(pending_);
+      for (auto& [resource, cb] : round) {
+        auto it = nodes_.find(resource);
+        cb(Status::OK(), it == nodes_.end() ? std::vector<dht::DhtItem>{}
+                                            : it->second);
+      }
+    }
+    return rounds;
+  }
+
+  /// Brute force: every stored key (one per instance) inside [lo, hi].
+  std::multiset<uint64_t> Expect(uint64_t lo, uint64_t hi) const {
+    std::multiset<uint64_t> out;
+    for (uint64_t k : keys_) {
+      if (k >= lo && k <= hi) out.insert(k);
+    }
+    return out;
+  }
+
+ private:
+  static dht::DhtItem Item(const std::string& prefix, uint64_t instance,
+                           std::string value) {
+    dht::DhtItem item;
+    item.key = dht::DhtKey{"#idx.t.0", prefix, instance};
+    item.value = std::move(value);
+    return item;
+  }
+
+  std::map<std::string, std::vector<dht::DhtItem>> nodes_;
+  std::deque<std::pair<std::string, PhtCursor::GetCb>> pending_;
+  std::vector<uint64_t> keys_;
+  std::map<uint64_t, uint64_t> instance_of_;
+  uint64_t last_instance_ = 0;
+};
+
+struct Walk {
+  bool done = false;
+  PhtCursor::Outcome outcome = PhtCursor::Outcome::kError;
+  std::multiset<uint64_t> keys;
+  PhtCursor::Stats stats;
+  uint64_t rounds = 0;  ///< rounds the fake trie answered
+};
+
+Walk WalkRange(FakeTrie* trie, uint64_t lo, uint64_t hi) {
+  Walk w;
+  PhtCursor cursor(trie->GetFn(), lo, hi);
+  cursor.Run(
+      [&](const PhtEntry& entry) {
+        w.keys.insert(entry.key);
+        return true;
+      },
+      [&](PhtCursor::Outcome o, Status) {
+        w.outcome = o;
+        w.done = true;
+      });
+  w.rounds = trie->Drain();
+  w.stats = cursor.stats();
+  EXPECT_TRUE(w.done);
+  EXPECT_EQ(w.stats.rounds, w.rounds) << "Stats::rounds is the critical path";
+  return w;
+}
+
+/// 1024 keys spaced 2^54 apart: with bucket 8 every leaf sits at depth 7
+/// and holds keys UniformKey(8j) .. UniformKey(8j + 7).
+uint64_t UniformKey(uint64_t i) { return i << 54; }
+
+std::vector<uint64_t> UniformKeys() {
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < 1024; ++i) keys.push_back(UniformKey(i));
+  return keys;
+}
+
+TEST(PhtCursorTest, RangeInsideOneLeafCostsOnlyTheLocate) {
+  FakeTrie trie;
+  trie.Build(UniformKeys(), 8);
+  // Keys 161..166 all sit in leaf 20 (keys 160..167).
+  Walk w = WalkRange(&trie, UniformKey(161), UniformKey(166));
+  EXPECT_EQ(w.outcome, PhtCursor::Outcome::kOk);
+  EXPECT_EQ(w.keys, trie.Expect(UniformKey(161), UniformKey(166)));
+  EXPECT_EQ(w.keys.size(), 6u);
+  // Depth search over [0, 64]: 32 (empty), 15 (empty), 7 (leaf).
+  EXPECT_EQ(w.stats.probes, 3u);
+  EXPECT_EQ(w.stats.rounds, 3u);
+  EXPECT_EQ(w.stats.leaves, 1u);
+}
+
+TEST(PhtCursorTest, UniformTrieReadsTheRangeInOneWindow) {
+  FakeTrie trie;
+  trie.Build(UniformKeys(), 8);
+  Walk one = WalkRange(&trie, UniformKey(161), UniformKey(166));
+  // Leaves 20..31: the locate plus eleven more leaves, all in one round.
+  Walk w = WalkRange(&trie, UniformKey(163), UniformKey(250));
+  EXPECT_EQ(w.outcome, PhtCursor::Outcome::kOk);
+  EXPECT_EQ(w.keys, trie.Expect(UniformKey(163), UniformKey(250)));
+  EXPECT_EQ(w.keys.size(), 88u);
+  EXPECT_LE(w.stats.rounds, one.stats.rounds + 2);
+  EXPECT_EQ(w.stats.rounds, one.stats.rounds + 1);
+  EXPECT_EQ(w.stats.probes, one.stats.probes + 11);
+  EXPECT_EQ(w.stats.leaves, 12u);
+
+  // The whole table: 128 leaves through a 16-wide window.
+  Walk all = WalkRange(&trie, 0, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(all.outcome, PhtCursor::Outcome::kOk);
+  EXPECT_EQ(all.keys.size(), 1024u);
+  EXPECT_EQ(all.stats.leaves, 128u);
+  EXPECT_EQ(all.stats.probes, one.stats.probes + 127);
+  EXPECT_LE(all.stats.rounds, one.stats.rounds + (127 + 15) / 16);
+}
+
+TEST(PhtCursorTest, SkewedTrieFindsShallowLeavesByBinarySearch) {
+  // A dense run of 64 adjacent keys at the top of the "0" half splits down
+  // to depth 61; the "1" half holds three sparse keys in one depth-1 leaf.
+  // A range from the dense run's last leaf to the top of the keyspace
+  // meets leaves at depths 61, 58, 57 and 1.
+  std::vector<uint64_t> keys;
+  const uint64_t dense = 0x7FFFFFFFFFFFFF00ull;
+  for (uint64_t i = 0; i < 64; ++i) keys.push_back(dense + i);
+  for (uint64_t k : {0x8000000000000005ull, 0xA000000000000000ull,
+                     0xFFFFFFFFFFFFFFF0ull}) {
+    keys.push_back(k);
+  }
+  FakeTrie trie;
+  trie.Build(keys, 8);
+  const uint64_t lo = dense + 0x30;
+  const uint64_t hi = std::numeric_limits<uint64_t>::max();
+  Walk w = WalkRange(&trie, lo, hi);
+  EXPECT_EQ(w.outcome, PhtCursor::Outcome::kOk);
+  EXPECT_EQ(w.keys, trie.Expect(lo, hi));
+  EXPECT_EQ(w.keys.size(), 19u);
+  // Climbing one level per round from depth 61 to the depth-1 leaf would
+  // take 60 rounds; the depth searches take a handful each.
+  EXPECT_LE(w.stats.rounds, 14u);
+  EXPECT_LE(w.stats.probes, 56u);
+  EXPECT_EQ(w.stats.leaves, 5u);
+}
+
+TEST(PhtCursorTest, ResidualEntriesAtInternalNodesAreReadOnce) {
+  // Leaf 25 (keys 200..207) overflows: eight more keys split it into two
+  // depth-8 leaves. One moved entry also stays readable at the parent as a
+  // residual (its move not yet acked), one stranded key lives only there.
+  std::vector<uint64_t> keys = UniformKeys();
+  for (uint64_t i = 200; i < 208; ++i) {
+    keys.push_back(UniformKey(i) + (1ull << 53));
+  }
+  FakeTrie trie;
+  trie.Build(keys, 8);
+  const std::string p25 = Prefix(UniformKey(200), 7);
+  const uint64_t moved = UniformKey(203);
+  trie.AddEntry(p25, moved, trie.InstanceOf(moved));
+  const uint64_t stranded = UniformKey(205) + 7;
+  trie.AddEntry(p25, stranded);
+
+  Walk w = WalkRange(&trie, UniformKey(190), UniformKey(215));
+  EXPECT_EQ(w.outcome, PhtCursor::Outcome::kOk);
+  EXPECT_EQ(w.keys, trie.Expect(UniformKey(190), UniformKey(215)));
+  EXPECT_EQ(w.keys.count(moved), 1u);
+  EXPECT_EQ(w.keys.count(stranded), 1u);
+  // Leaves 23, 24, 26 at depth 7; leaf 25 is internal, its children are
+  // one round further.
+  EXPECT_EQ(w.stats.leaves, 5u);
+  Walk one = WalkRange(&trie, UniformKey(161), UniformKey(166));
+  EXPECT_EQ(w.stats.rounds, one.stats.rounds + 2);
+}
+
+TEST(PhtCursorTest, MissingChildOfKnownInternalNodeIsAnError) {
+  {
+    // Leaf 21's marker and entries vanish: the depth search for the leaf
+    // covering it finds only ancestors of leaf 20.
+    FakeTrie trie;
+    trie.Build(UniformKeys(), 8);
+    trie.Erase(Prefix(UniformKey(168), 7));
+    Walk w = WalkRange(&trie, UniformKey(163), UniformKey(250));
+    EXPECT_EQ(w.outcome, PhtCursor::Outcome::kError);
+  }
+  {
+    // Leaf 25 split into two depth-8 leaves; one of them vanishes. The
+    // window reads 25 as internal, so its missing child is damage.
+    std::vector<uint64_t> keys = UniformKeys();
+    for (uint64_t i = 200; i < 208; ++i) {
+      keys.push_back(UniformKey(i) + (1ull << 53));
+    }
+    FakeTrie trie;
+    trie.Build(keys, 8);
+    trie.Erase(Prefix(UniformKey(204), 8));
+    Walk w = WalkRange(&trie, UniformKey(190), UniformKey(215));
+    EXPECT_EQ(w.outcome, PhtCursor::Outcome::kError);
+    EXPECT_EQ(w.stats.leaves, 4u);  // 23, 24, 26 and 25's left child
+  }
+}
+
+TEST(PhtCursorTest, SilentRootIsAColdIndex) {
+  FakeTrie trie;
+  Walk w = WalkRange(&trie, 0, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(w.outcome, PhtCursor::Outcome::kColdIndex);
+  EXPECT_TRUE(w.keys.empty());
+  // The depth search over [0, 64] converges on nothing: 7 probes at most.
+  EXPECT_LE(w.stats.probes, 7u);
+}
+
+TEST(PhtCursorTest, ProbeCapStopsARunawayWalk) {
+  // 8192 empty leaves at depth 13: a full-range walk needs more gets than
+  // the cap allows.
+  FakeTrie trie;
+  std::function<void(const std::string&)> grow = [&](const std::string& p) {
+    if (p.size() == 13) {
+      trie.AddMarker(p, /*internal=*/false);
+      return;
+    }
+    trie.AddMarker(p, /*internal=*/true);
+    grow(p + "0");
+    grow(p + "1");
+  };
+  grow("");
+  Walk w = WalkRange(&trie, 0, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(w.outcome, PhtCursor::Outcome::kError);
+  EXPECT_EQ(w.stats.probes, PhtCursor::kMaxProbes);
 }
 
 }  // namespace
