@@ -16,6 +16,11 @@
 # run that fails or prints no digest. A refactor that claims equal simulated
 # behaviour must pass this against its parent commit.
 #
+# On a difference it prints, for that (workload, seed), both trees'
+# `answers`, `[virt] answer p50` and `[virt] wire` lines one above the
+# other: a change that moves bytes but not behaviour changes digests, and
+# these lines show whether its answers and virtual latency held.
+#
 # Opt-in: the default ci/check.sh lane does not run it (16 benchmark runs
 # plus two builds take about 15 minutes on 4 cores). Runs are sequential to
 # keep memory small. TMPDIR chooses where the temporary trees and builds go.
@@ -75,6 +80,18 @@ run_tree() {
 run_tree base "$WORK/base"
 run_tree head "$ROOT"
 
+# side_by_side <workload> <seed>: each summary line of the base run above
+# the same line of the head run.
+side_by_side() {
+  local pat label line
+  for pat in '^  answers ' '^  \[virt\] answer p50 ' '^  \[virt\] wire '; do
+    for label in base head; do
+      line="$(grep -m1 -E "$pat" "$WORK/out/$label-$1-$2.txt" || true)"
+      printf '  %-4s %s\n' "$label" "${line#  }"
+    done
+  done
+}
+
 status=0
 for w in "${WORKLOADS[@]}"; do
   for s in "${SEEDS[@]}"; do
@@ -82,6 +99,7 @@ for w in "${WORKLOADS[@]}"; do
       echo "same: $w seed $s ($(wc -l <"$WORK/out/head-$w-$s.digest") rounds)"
     else
       echo "DIFFERENT: $w seed $s"
+      side_by_side "$w" "$s"
       status=1
     fi
   done

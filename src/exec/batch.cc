@@ -14,7 +14,8 @@ namespace {
 // Decode guards: a frame claiming more than this is corrupt, not big.
 constexpr uint32_t kMaxBatchRows = 1u << 20;
 constexpr uint32_t kMaxBatchCols = 4096;
-constexpr uint8_t kBatchVersion = 1;
+// Bumped whenever a lane's encoding changes (2: kInt64 as zigzag varints).
+constexpr uint8_t kBatchVersion = 2;
 
 constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
@@ -338,35 +339,30 @@ void RowBatch::ToTuple(size_t row, catalog::Tuple* out) const {
 }
 
 RowBatch RowBatch::Compact() const {
+  return has_selection_ ? Gather(selection_) : *this;
+}
+
+RowBatch RowBatch::Gather(const std::vector<uint32_t>& rows) const {
   RowBatch out;
   out.cols_.reserve(cols_.size());
   for (const Column& c : cols_) out.cols_.push_back(Column(c.kind()));
-  size_t n = ActiveRows();
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = RowId(i);
+  for (uint32_t row : rows) {
     for (size_t c = 0; c < cols_.size(); ++c) {
       out.cols_[c].AppendFrom(cols_[c], row);
     }
   }
-  out.num_rows_ = n;
+  out.num_rows_ = rows.size();
   return out;
 }
 
 RowBatch RowBatch::SliceLive(size_t start, size_t len) const {
-  RowBatch out;
-  out.cols_.reserve(cols_.size());
-  for (const Column& c : cols_) out.cols_.push_back(Column(c.kind()));
   size_t n = ActiveRows();
   if (start > n) start = n;
   size_t end = (len > n - start) ? n : start + len;
-  for (size_t i = start; i < end; ++i) {
-    uint32_t row = RowId(i);
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      out.cols_[c].AppendFrom(cols_[c], row);
-    }
-  }
-  out.num_rows_ = end - start;
-  return out;
+  std::vector<uint32_t> rows;
+  rows.reserve(end - start);
+  for (size_t i = start; i < end; ++i) rows.push_back(RowId(i));
+  return Gather(rows);
 }
 
 void RowBatch::TruncateLive(size_t n) {
@@ -385,6 +381,15 @@ RowBatch RowBatch::FromColumns(std::vector<Column> cols, size_t rows) {
   out.cols_ = std::move(cols);
   out.num_rows_ = rows;
   return out;
+}
+
+RowBatch RowBatch::OfRow(const catalog::Tuple& t) {
+  std::vector<ValueType> types;
+  types.reserve(t.size());
+  for (const Value& v : t) types.push_back(v.type());
+  RowBatchBuilder builder(std::move(types));
+  builder.Append(t);
+  return builder.Take();
 }
 
 void RowBatch::Encode(Writer* w) const {
@@ -408,13 +413,7 @@ void RowBatch::Encode(Writer* w) const {
     w->PutRaw(bits.data(), vbytes);
     switch (c.kind()) {
       case Column::Kind::kInt64:
-        if constexpr (kLittleEndian) {
-          w->PutRaw(c.i64_.data(), n * sizeof(int64_t));
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            w->PutFixed64(static_cast<uint64_t>(c.i64_[i]));
-          }
-        }
+        for (size_t i = 0; i < n; ++i) w->PutVarint64Signed(c.i64_[i]);
         break;
       case Column::Kind::kDouble:
         if constexpr (kLittleEndian) {
@@ -464,7 +463,9 @@ Status RowBatch::Decode(Reader* r, RowBatch* out) {
   out->num_rows_ = n;
   out->ClearSelection();
   size_t vbytes = (n + 7) / 8;
-  std::vector<uint8_t> bits(vbytes);
+  // Every allocation below is sized by n only after a remaining() check
+  // shows the bytes it stands for are really there.
+  std::vector<uint8_t> bits;
   out->cols_.reserve(ncols);
   for (uint32_t ci = 0; ci < ncols; ++ci) {
     uint8_t kind = 0;
@@ -474,6 +475,7 @@ Status RowBatch::Decode(Reader* r, RowBatch* out) {
     }
     Column c(static_cast<Column::Kind>(kind));
     if (r->remaining() < vbytes) return Status::Corruption("batch truncated");
+    bits.resize(vbytes);
     PIER_RETURN_IF_ERROR(r->GetRaw(bits.data(), vbytes));
     c.size_ = n;
     c.validity_.assign((n + 63) / 64, 0);
@@ -484,18 +486,11 @@ Status RowBatch::Decode(Reader* r, RowBatch* out) {
     }
     switch (c.kind_) {
       case Column::Kind::kInt64: {
-        if (r->remaining() < n * sizeof(int64_t)) {
-          return Status::Corruption("batch truncated");
-        }
+        // Each varint is at least one byte.
+        if (r->remaining() < n) return Status::Corruption("batch truncated");
         c.i64_.resize(n);
-        if constexpr (kLittleEndian) {
-          PIER_RETURN_IF_ERROR(r->GetRaw(c.i64_.data(), n * sizeof(int64_t)));
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            uint64_t v = 0;
-            PIER_RETURN_IF_ERROR(r->GetFixed64(&v));
-            c.i64_[i] = static_cast<int64_t>(v);
-          }
+        for (size_t i = 0; i < n; ++i) {
+          PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&c.i64_[i]));
         }
         break;
       }

@@ -155,6 +155,10 @@ class RowBatch {
   /// Dense copy containing only the live rows, selection cleared.
   RowBatch Compact() const;
 
+  /// Dense copy of physical rows `rows`, in that order, selection cleared —
+  /// how the rehash exchange cuts a batch into per-owner buckets.
+  RowBatch Gather(const std::vector<uint32_t>& rows) const;
+
   /// Dense copy of live rows [start, start+len) of the current live order —
   /// the unit of chunked wire delivery (bounding the rows one lost frame
   /// can cost). Clamps to the live range.
@@ -168,6 +172,9 @@ class RowBatch {
   /// Assembles a batch directly from pre-built columns (all of size `rows`)
   /// — how projection stages emit without re-boxing through a builder.
   static RowBatch FromColumns(std::vector<Column> cols, size_t rows);
+  /// One-row batch holding `t`; each column takes the lane of the row's own
+  /// value type.
+  static RowBatch OfRow(const catalog::Tuple& t);
 
   /// Column-major wire frame of the live rows (selection compacted away).
   /// One Encode is one network Payload body — the whole point.

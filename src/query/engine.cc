@@ -204,14 +204,12 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
       [this](uint64_t seq, uint64_t members, bool complete) {
         OnCoverage(seq, members, complete);
       });
-  QueryScheduler::Options sched;
-  sched.batch_rows = options_.batch_size;
   scheduler_ = std::make_unique<QueryScheduler>(
       sim_, dht_, &stats_,
       [this](Duration delay, std::function<void()> fn) {
         return ScheduleEngineTimer(delay, std::move(fn));
       },
-      sched);
+      QueryScheduler::Options{});
 }
 
 QueryEngine::~QueryEngine() {
@@ -343,21 +341,6 @@ int QueryEngine::QueryDepth(uint64_t qid) const {
   return it == queries_.end() ? 0 : it->second->depth;
 }
 
-void QueryEngine::SendRowFrame(ActiveQuery* aq, sim::HostId to, MsgType type,
-                               uint64_t epoch, const Tuple& t) {
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(type));
-  w.PutVarint64(aq->env.query_id);
-  w.PutVarint64(epoch);
-  catalog::SerializeTuple(t, &w);
-  if (type == MsgType::kPartialAgg) {
-    ++stats_.partial_msgs_sent;
-  } else {
-    ++stats_.result_msgs_sent;
-  }
-  SendReliable(aq, to, std::move(w), /*control=*/false);
-}
-
 void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
                                      const exec::RowBatch& b) {
   auto it = queries_.find(qid);
@@ -381,13 +364,6 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
   constexpr size_t kResultFrameRows = 4;
   for (size_t start = 0; start < n; start += kResultFrameRows) {
     size_t len = std::min(kResultFrameRows, n - start);
-    if (len == 1) {
-      // A single row ships in the row frame — it is smaller.
-      Tuple t;
-      b.ToTuple(b.RowId(start), &t);
-      SendRowFrame(aq, aq->env.origin, MsgType::kResultTuple, epoch, t);
-      continue;
-    }
     Writer w;
     w.PutU8(static_cast<uint8_t>(MsgType::kResultBatch));
     w.PutVarint64(qid);
@@ -420,26 +396,13 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
   if (route == ExchangeKind::kTree && aq->parent != sim::kInvalidHost) {
     to = aq->parent;
   }
-  if (partials.size() == 1) {
-    // A single partial ships in the row frame — it is smaller.
-    SendRowFrame(aq, to, MsgType::kPartialAgg, epoch, partials[0]);
-    return;
-  }
-  // Partial rows from one flush share a layout ([group..., v1, v2 per
-  // agg]); columns whose state types diverge across rows (the int->double
-  // widening ladder) ride the boxed lane via AppendValue's promotion.
+  // Partials come from one flush (or one relayed partial), so they share a
+  // layout ([group..., v1, v2 per agg]); columns whose state types diverge
+  // across rows (the int->double widening ladder) ride the boxed lane via
+  // AppendValue's promotion.
   std::vector<ValueType> types;
   types.reserve(partials[0].size());
   for (const Value& v : partials[0]) types.push_back(v.type());
-  for (const Tuple& t : partials) {
-    if (t.size() != types.size()) {
-      // Ragged widths cannot share one batch; ship row frames instead.
-      for (const Tuple& p : partials) {
-        SendRowFrame(aq, to, MsgType::kPartialAgg, epoch, p);
-      }
-      return;
-    }
-  }
   exec::RowBatchBuilder builder(types);
   builder.Reserve(partials.size());
   for (const Tuple& t : partials) builder.Append(t);
@@ -719,15 +682,15 @@ void QueryEngine::OnFrame(sim::HostId from, Reader* r) {
   auto it = queries_.find(qid);
   if (it == queries_.end()) return;
   ActiveQuery* aq = it->second.get();
+  uint8_t inner = 0;
+  if (!r->GetU8(&inner).ok()) return;
+  MsgType t = static_cast<MsgType>(inner);
+  if (t == MsgType::kFrame || t == MsgType::kFrameAck) return;  // no nesting
   if (aq->ended) {
     // Teardown hygiene: an ended query's dedupe windows and admission
     // counters were pruned and must not regrow from stragglers. Still
     // dispatch so late data keeps counting as late_partials (a retransmit
     // racing the ack may count twice — the counter is diagnostic).
-    uint8_t inner = 0;
-    if (!r->GetU8(&inner).ok()) return;
-    MsgType t = static_cast<MsgType>(inner);
-    if (t == MsgType::kFrame || t == MsgType::kFrameAck) return;
     DispatchMessage(from, inner, r);
     return;
   }
@@ -735,12 +698,7 @@ void QueryEngine::OnFrame(sim::HostId from, Reader* r) {
     ++stats_.frame_dupes_dropped;
     return;
   }
-  uint8_t inner = 0;
-  if (!r->GetU8(&inner).ok()) return;
-  MsgType t = static_cast<MsgType>(inner);
-  if (t == MsgType::kFrame || t == MsgType::kFrameAck) return;  // no nesting
-  if (t == MsgType::kResultTuple || t == MsgType::kPartialAgg ||
-      t == MsgType::kResultBatch || t == MsgType::kPartialBatch) {
+  if (t == MsgType::kResultBatch || t == MsgType::kPartialBatch) {
     ++aq->rx_data_frames[from];
   }
   DispatchMessage(from, inner, r);
@@ -1496,26 +1454,13 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       it->second->shed_members.insert(from);
       return;
     }
-    default:
-      break;
-  }
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kResultTuple:
-    case MsgType::kPartialAgg:
     case MsgType::kResultBatch:
     case MsgType::kPartialBatch: {
-      MsgType mt = static_cast<MsgType>(type);
-      bool is_batch =
-          mt == MsgType::kResultBatch || mt == MsgType::kPartialBatch;
-      bool is_partial =
-          mt == MsgType::kPartialAgg || mt == MsgType::kPartialBatch;
-      // Decode: a row frame carries one tuple, a batch frame a RowBatch.
+      bool is_partial = static_cast<MsgType>(type) == MsgType::kPartialBatch;
       uint64_t qid = 0, epoch = 0;
       exec::RowBatch b;
-      Tuple t;
-      if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok()) return;
-      if (is_batch ? !exec::RowBatch::Decode(r, &b).ok()
-                   : !catalog::DeserializeTuple(r, &t).ok()) {
+      if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
+          !exec::RowBatch::Decode(r, &b).ok()) {
         return;
       }
       // Epochs count periods since issue time; anything near the integer
@@ -1530,11 +1475,10 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       } else {
         ++stats_.result_msgs_received;
       }
-      if (is_batch) ++stats_.batch_frames_received;
-      // One accept/combine decision per row, whichever frame carried it.
-      size_t n = is_batch ? b.num_rows() : 1;
-      for (size_t i = 0; i < n; ++i) {
-        if (is_batch) b.ToTuple(i, &t);
+      // One accept/combine decision per row.
+      Tuple t;
+      for (size_t i = 0; i < b.num_rows(); ++i) {
+        b.ToTuple(i, &t);
         if (aq->is_origin) {
           OriginAccept(aq, epoch, from, t, is_partial);
         } else if (is_partial && !aq->ended && aq->runtime != nullptr) {
@@ -1578,7 +1522,7 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       break;
     }
     default:
-      break;  // frame-plane types handled above
+      break;  // unknown tags are ignored
   }
 }
 

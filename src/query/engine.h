@@ -165,10 +165,6 @@ class QueryEngine : public ops::StageHost {
                     const dht::StoredItem& item);
 
   // -- reliable result plane -------------------------------------------------
-  /// The one-row encoding of a result or partial batch: a kResultTuple /
-  /// kPartialAgg row frame, sent reliably to `to`.
-  void SendRowFrame(ActiveQuery* aq, sim::HostId to, MsgType type,
-                    uint64_t epoch, const catalog::Tuple& t);
   /// Wraps `inner` (a complete direct message) in an acked kFrame envelope
   /// and owns its retransmit schedule.
   void SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,

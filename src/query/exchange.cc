@@ -10,12 +10,21 @@ namespace query {
 using catalog::Tuple;
 
 namespace {
-/// First byte of a column-major exchange frame. Legacy row frames start
-/// with the side byte (0 or 1), so the marker is unambiguous and old
-/// decoders reject batch frames cleanly ("bad exchange side").
-constexpr uint8_t kBatchFrameMarker = 0x42;
-/// TTL on rehashed temp tuples (per-query exchange namespaces).
+/// TTL on rehashed temp frames (per-query exchange namespaces).
 constexpr Duration kTempTtl = Seconds(90);
+
+/// catalog::ResourceForCols of physical row `row`, boxing only the key
+/// columns into `scratch`.
+std::string ResourceForRow(const exec::RowBatch& b, uint32_t row,
+                           const std::vector<int>& key_cols, Tuple* scratch) {
+  scratch->assign(b.num_columns(), Value::Null());
+  for (int c : key_cols) {
+    if (c >= 0 && static_cast<size_t>(c) < b.num_columns()) {
+      (*scratch)[c] = b.column(c).ValueAt(row);
+    }
+  }
+  return catalog::ResourceForCols(*scratch, key_cols);
+}
 }  // namespace
 
 RehashExchange::RehashExchange(ops::StageHost* host, uint64_t qid,
@@ -31,27 +40,33 @@ std::string RehashExchange::NamespaceFor(uint64_t qid, uint32_t edge_id) {
 }
 
 void RehashExchange::Publish(int side, const std::vector<int>& key_cols,
-                             const Tuple& t) {
-  PublishAt(side, catalog::ResourceForCols(t, key_cols), t);
-}
-
-void RehashExchange::PublishAt(int side, const std::string& resource,
-                               const Tuple& t) {
-  // Per-query fan-out budget: a tripped query stops feeding the DHT and
-  // degrades loudly (the engine flags Completeness) instead of flooding it.
-  if (!host_->ChargeRehashPuts(qid_, 1)) return;
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(side));
-  catalog::SerializeTuple(t, &w);
-  ++host_->mutable_stats()->rehash_puts;
-  PublishValue(resource, w.Release());
+                             const exec::RowBatch& rows) {
+  std::map<std::string, std::vector<uint32_t>> buckets;
+  Tuple scratch;
+  for (size_t i = 0; i < rows.ActiveRows(); ++i) {
+    uint32_t row = rows.RowId(i);
+    buckets[ResourceForRow(rows, row, key_cols, &scratch)].push_back(row);
+  }
+  for (const auto& [resource, bucket] : buckets) {
+    // Per-query fan-out budget: a tripped query stops feeding the DHT and
+    // degrades loudly (the engine flags Completeness) instead of flooding
+    // it. One frame is one DHT put regardless of row count, so it charges
+    // one unit — the budget caps network operations, not rows.
+    if (!host_->ChargeRehashPuts(qid_, 1)) continue;
+    Writer w;
+    w.PutU8(static_cast<uint8_t>(side));
+    rows.Gather(bucket).Encode(&w);
+    ++host_->mutable_stats()->rehash_puts;
+    ++host_->mutable_stats()->batch_frames_sent;
+    PublishValue(resource, w.Release());
+  }
 }
 
 void RehashExchange::PublishValue(const std::string& resource,
                                   std::string value) {
   uint64_t instance =
       (static_cast<uint64_t>(host_->self_host()) << 32) | seq_++;
-  // Temp tuples skip replication: cheap to recreate, dead within the query.
+  // Temp frames skip replication: cheap to recreate, dead within the query.
   // The non-null callback makes the put acked and retried (the DHT's own
   // retry plane), so a single lost message no longer drops join state; the
   // owner-side arrival dedupe absorbs any retry duplicates.
@@ -63,62 +78,14 @@ void RehashExchange::PublishValue(const std::string& resource,
                       });
 }
 
-void RehashExchange::PublishBatch(int side, const std::vector<int>& key_cols,
-                                  const catalog::Schema& schema,
-                                  const std::vector<Tuple>& rows) {
-  std::map<std::string, std::vector<const Tuple*>> buckets;
-  for (const Tuple& t : rows) {
-    buckets[catalog::ResourceForCols(t, key_cols)].push_back(&t);
-  }
-  for (const auto& [resource, bucket] : buckets) {
-    if (bucket.size() == 1) {
-      PublishAt(side, resource, *bucket[0]);
-      continue;
-    }
-    // One batch frame is one DHT put regardless of row count, so it charges
-    // one unit — the budget caps network operations, not rows.
-    if (!host_->ChargeRehashPuts(qid_, 1)) continue;
-    exec::RowBatchBuilder builder(schema);
-    builder.Reserve(bucket.size());
-    for (const Tuple* t : bucket) builder.Append(*t);
-    exec::RowBatch batch = builder.Take();
-    Writer w;
-    w.PutU8(kBatchFrameMarker);
-    w.PutU8(static_cast<uint8_t>(side));
-    batch.Encode(&w);
-    ++host_->mutable_stats()->rehash_puts;
-    ++host_->mutable_stats()->batch_frames_sent;
-    PublishValue(resource, w.Release());
-  }
-}
-
-bool RehashExchange::IsBatchFrame(const dht::StoredItem& item) {
-  return !item.value.empty() &&
-         static_cast<uint8_t>(item.value[0]) == kBatchFrameMarker;
-}
-
-Status RehashExchange::DecodeBatchArrival(const dht::StoredItem& item,
-                                          int* side, exec::RowBatch* out) {
-  Reader r(item.value);
-  uint8_t marker = 0, s = 0;
-  PIER_RETURN_IF_ERROR(r.GetU8(&marker));
-  if (marker != kBatchFrameMarker) {
-    return Status::Corruption("not a batch frame");
-  }
-  PIER_RETURN_IF_ERROR(r.GetU8(&s));
-  if (s > 1) return Status::Corruption("bad exchange side");
-  PIER_RETURN_IF_ERROR(exec::RowBatch::Decode(&r, out));
-  *side = s;
-  return Status::OK();
-}
-
 Status RehashExchange::DecodeArrival(const dht::StoredItem& item, int* side,
-                                     Tuple* t) {
+                                     exec::RowBatch* out) {
   Reader r(item.value);
   uint8_t s = 0;
   PIER_RETURN_IF_ERROR(r.GetU8(&s));
   if (s > 1) return Status::Corruption("bad exchange side");
-  PIER_RETURN_IF_ERROR(catalog::DeserializeTuple(&r, t));
+  PIER_RETURN_IF_ERROR(exec::RowBatch::Decode(&r, out));
+  if (!r.AtEnd()) return Status::Corruption("trailing bytes after batch");
   *side = s;
   return Status::OK();
 }

@@ -1,11 +1,12 @@
-// The Exchange layer: how tuples cross node boundaries between opgraph
-// stages. Each ExchangeKind (see opgraph.h) has a runtime half here:
+// The Exchange layer: how rows cross node boundaries between opgraph
+// stages. A row on the wire is always part of an exec::RowBatch frame,
+// whichever edge carries it. Each ExchangeKind (see opgraph.h) has a
+// runtime half here:
 //
-//   kRehash   -> RehashExchange: ships tuples to the DHT owner of the
-//                consumer's key columns under a per-edge temp namespace
-//                ("q<qid>.x<edge>"); the owner consumes arrivals. This is
-//                the traffic that used to be inlined in the engine as
-//                RehashTuple/OnTempArrival.
+//   kRehash   -> RehashExchange: ships rows, as RowBatch frames, to the
+//                DHT owner of the consumer's key columns under a per-edge
+//                temp namespace ("q<qid>.x<edge>"); the owner consumes
+//                arrivals.
 //   kTree     -> TreeCombiner: the per-epoch combine box an interior
 //                dissemination-tree node runs over its children's partials
 //                before forwarding one merged partial upward.
@@ -13,7 +14,7 @@
 //                DeliverPartialBatch route directly.
 //
 // Exchanges are owned by the per-query runtime and die with it; in-flight
-// DHT tuples carry their own TTL (soft state all the way down).
+// DHT frames carry their own TTL (soft state all the way down).
 
 #ifndef PIER_QUERY_EXCHANGE_H_
 #define PIER_QUERY_EXCHANGE_H_
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/schema.h"
 #include "catalog/tuple.h"
 #include "dht/local_store.h"
 #include "exec/batch.h"
@@ -34,8 +34,11 @@ namespace pier {
 namespace query {
 
 /// Send half of a kRehash edge. The edge id is the consuming graph node's
-/// id, so every join input pair shares one namespace and tags tuples with
+/// id, so every join input pair shares one namespace and tags rows with
 /// their input side.
+///
+/// Every put carries one frame, [side u8][RowBatch]: join inputs, semi-join
+/// key projections, chained-join output and recursion reach tuples alike.
 class RehashExchange {
  public:
   RehashExchange(ops::StageHost* host, uint64_t qid, uint32_t edge_id);
@@ -45,37 +48,21 @@ class RehashExchange {
   static std::string NamespaceFor(uint64_t qid, uint32_t edge_id);
   const std::string& ns() const { return ns_; }
 
-  /// Ships `t` to the owner of hash(t[key_cols]) tagged with `side`.
+  /// Buckets the live rows of `rows` by the owner resource of
+  /// hash(row[key_cols]) and ships ONE [side][RowBatch] put per bucket, the
+  /// bucket's rows in their order in `rows`. Buckets go out in resource
+  /// order.
   void Publish(int side, const std::vector<int>& key_cols,
-               const catalog::Tuple& t);
-  /// Batch-plane rehash: buckets `rows` by owner resource and ships ONE
-  /// column-major RowBatch frame per bucket (marker + side + batch) instead
-  /// of one put per tuple. Single-row buckets use the legacy row frame —
-  /// it is smaller. `schema` is the rows' layout (the producing scan's).
-  void PublishBatch(int side, const std::vector<int>& key_cols,
-                    const catalog::Schema& schema,
-                    const std::vector<catalog::Tuple>& rows);
-  /// Ships `t` under an explicit precomputed resource (key-projection
-  /// shipping for the semi-join).
-  void PublishAt(int side, const std::string& resource,
-                 const catalog::Tuple& t);
-  /// Ships pre-encoded bytes under `resource` with a fresh per-node
-  /// instance id — the shared bottom half of every rehash put (untagged:
-  /// consumers that use this decode the value themselves).
-  void PublishValue(const std::string& resource, std::string value);
+               const exec::RowBatch& rows);
 
-  /// Decodes one arrival payload ([side u8][tuple]); Corruption on garbage.
+  /// Decodes one arrival frame; Corruption on garbage.
   static Status DecodeArrival(const dht::StoredItem& item, int* side,
-                              catalog::Tuple* t);
-
-  /// True when `item` holds a PublishBatch frame (legacy row frames start
-  /// with side 0/1; batch frames with the 0x42 marker byte).
-  static bool IsBatchFrame(const dht::StoredItem& item);
-  /// Decodes a PublishBatch frame; Corruption on garbage.
-  static Status DecodeBatchArrival(const dht::StoredItem& item, int* side,
-                                   exec::RowBatch* out);
+                              exec::RowBatch* out);
 
  private:
+  /// Ships one frame under `resource` with a fresh per-node instance id.
+  void PublishValue(const std::string& resource, std::string value);
+
   ops::StageHost* host_;
   uint64_t qid_;
   std::string ns_;

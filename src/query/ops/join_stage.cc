@@ -31,6 +31,14 @@ catalog::Schema SemiProjectionSchema(const catalog::Schema& scan_schema,
   return catalog::Schema(scan_schema.relation(), std::move(cols));
 }
 
+exec::RowBatch BatchOf(const catalog::Schema& schema,
+                       const std::vector<Tuple>& rows) {
+  exec::RowBatchBuilder builder(schema);
+  builder.Reserve(rows.size());
+  for (const Tuple& t : rows) builder.Append(t);
+  return builder.Take();
+}
+
 }  // namespace
 
 JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
@@ -253,13 +261,8 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           rows.erase(kept, rows.end());
         }
         if (rows.empty()) return;
-        if (scan != nullptr) {
-          // One column-major frame per rendezvous owner per scan, instead
-          // of one DHT put per tuple.
-          exchange_->PublishBatch(side, keys, scan->schema, rows);
-          return;
-        }
-        for (const Tuple& t : rows) exchange_->Publish(side, keys, t);
+        // One frame per rendezvous owner per scan, not one put per row.
+        exchange_->Publish(side, keys, BatchOf(scan->schema, rows));
       };
       publish_side(left, node_->left_keys, dist_right_.get(), left_scan_, 0);
       publish_side(right, node_->right_keys, dist_left_.get(), right_scan_,
@@ -295,16 +298,11 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           projs.push_back(std::move(proj));
         }
         host_->mutable_stats()->semijoin_bytes_saved += saved;
-        if (scan != nullptr && !projs.empty()) {
-          // Key projections ride the columnar plane exactly like the hash
-          // path: one frame per rendezvous owner instead of one put per
-          // row (this used to fall back to tuple-at-a-time silently).
-          exchange_->PublishBatch(side, leading,
-                                  SemiProjectionSchema(scan->schema, keys),
-                                  projs);
-          return;
-        }
-        for (const Tuple& p : projs) exchange_->Publish(side, leading, p);
+        if (projs.empty()) return;
+        // Key projections ride the same per-owner frames as the hash path.
+        exchange_->Publish(side, leading,
+                           BatchOf(SemiProjectionSchema(scan->schema, keys),
+                                   projs));
       };
       rehash_keys(left, node_->left_keys, left_scan_, 0);
       rehash_keys(right, node_->right_keys, right_scan_, 1);
@@ -364,29 +362,22 @@ void JoinStage::ResolveFetchMatches(const Tuple& probe,
   }
 }
 
-void JoinStage::PublishUpstream(int side, const Tuple& t) {
+void JoinStage::PublishUpstream(int side, const exec::RowBatch& rows) {
   if (exchange_ == nullptr) return;
   exchange_->Publish(side, side == 0 ? node_->left_keys : node_->right_keys,
-                     t);
+                     rows);
 }
 
 void JoinStage::OnArrival(const dht::StoredItem& item) {
   if (shj_ == nullptr) return;
   int side = 0;
-  if (RehashExchange::IsBatchFrame(item)) {
-    exec::RowBatch b;
-    if (!RehashExchange::DecodeBatchArrival(item, &side, &b).ok()) return;
-    ++host_->mutable_stats()->batch_frames_received;
-    Tuple t;
-    for (size_t i = 0; i < b.num_rows(); ++i) {
-      b.ToTuple(i, &t);
-      shj_->Push(t, side);
-    }
-    return;
-  }
+  exec::RowBatch b;
+  if (!RehashExchange::DecodeArrival(item, &side, &b).ok()) return;
   Tuple t;
-  if (!RehashExchange::DecodeArrival(item, &side, &t).ok()) return;
-  shj_->Push(t, side);
+  for (size_t i = 0; i < b.num_rows(); ++i) {
+    b.ToTuple(i, &t);
+    shj_->Push(t, side);
+  }
 }
 
 void JoinStage::HandleJoinOutput(const Tuple& joined) {

@@ -70,7 +70,7 @@ class JoinStage : public Stage {
   void Setup();
 
   /// An upstream join's output entering this join on `side`.
-  void PublishUpstream(int side, const catalog::Tuple& t);
+  void PublishUpstream(int side, const exec::RowBatch& rows);
 
   void OnArrival(const dht::StoredItem& item);
   void OnFetchReq(uint32_t from, Reader* r);

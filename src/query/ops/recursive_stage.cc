@@ -21,8 +21,7 @@ RecursiveStage::RecursiveStage(StageHost* host, uint64_t qid,
 
 void RecursiveStage::PublishReach(const Tuple& reach, bool is_expansion) {
   if (is_expansion) ++host_->mutable_stats()->recursion_expansions;
-  exchange_.PublishValue(catalog::ResourceForCols(reach, {0, 1}),
-                         catalog::TupleToBytes(reach));
+  exchange_.Publish(/*side=*/0, {0, 1}, exec::RowBatch::OfRow(reach));
 }
 
 void RecursiveStage::Setup() {
@@ -49,13 +48,22 @@ void RecursiveStage::Setup() {
 }
 
 void RecursiveStage::OnArrival(const dht::StoredItem& item) {
-  Tuple reach;
-  if (!catalog::TupleFromBytes(item.value, &reach).ok() ||
-      reach.size() != 3) {
+  int side = 0;
+  exec::RowBatch b;
+  if (!RehashExchange::DecodeArrival(item, &side, &b).ok() ||
+      b.num_columns() != 3) {
     return;
   }
+  Tuple reach;
+  for (size_t i = 0; i < b.num_rows(); ++i) {
+    b.ToTuple(i, &reach);
+    OnReach(item.key.resource, reach);
+  }
+}
+
+void RecursiveStage::OnReach(const std::string& resource, const Tuple& reach) {
   // Dedup on the canonical (src, dst) resource: this node owns this pair.
-  if (!reach_seen_.insert(item.key.resource).second) {
+  if (!reach_seen_.insert(resource).second) {
     ++host_->mutable_stats()->recursion_duplicates;
     return;
   }

@@ -45,6 +45,8 @@ class RecursiveStage : public Stage {
 
  private:
   void PublishReach(const catalog::Tuple& reach, bool is_expansion);
+  /// One decoded reach tuple owned here under the canonical `resource`.
+  void OnReach(const std::string& resource, const catalog::Tuple& reach);
   void ExpandFrom(const Value& src, const Value& via, int64_t hops,
                   const std::vector<dht::DhtItem>& edges);
 
@@ -54,8 +56,9 @@ class RecursiveStage : public Stage {
   const OpNode* node_;
   const OpNode* edge_scan_;
   Duration window_;
-  /// Reach tuples travel like any rehash traffic, keyed on the canonical
-  /// (src, dst) resource; only the namespace name is bespoke.
+  /// Reach tuples travel like any rehash traffic (one-row RowBatch frames
+  /// keyed on the canonical (src, dst) resource); only the namespace name
+  /// is bespoke.
   RehashExchange exchange_;
   BatchEmitFn downstream_;
   std::unordered_set<std::string> reach_seen_;  // dedup by canonical resource

@@ -153,12 +153,7 @@ Status QueryRuntime::Init() {
 }
 
 bool EmitRow(const BatchEmitFn& emit, const Tuple& t) {
-  std::vector<ValueType> types;
-  types.reserve(t.size());
-  for (const Value& v : t) types.push_back(v.type());
-  exec::RowBatchBuilder builder(std::move(types));
-  builder.Append(t);
-  exec::RowBatch b = builder.Take();
+  exec::RowBatch b = exec::RowBatch::OfRow(t);
   return emit(b);
 }
 
@@ -193,11 +188,7 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
       JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
       int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
       return [js, side](exec::RowBatch& b) {
-        Tuple t;
-        for (size_t i = 0; i < b.ActiveRows(); ++i) {
-          b.ToTuple(b.RowId(i), &t);
-          js->PublishUpstream(side, t);
-        }
+        js->PublishUpstream(side, b);
         return true;
       };
     }

@@ -52,15 +52,15 @@ class StageHost {
 
   /// kToOrigin exchange: delivers every live row of `b` to the origin
   /// (looping back row-by-row into origin collection when this node is the
-  /// origin). Rows ship in chunked column-major frames; a one-row chunk
-  /// ships in the engine's smaller row frame.
+  /// origin). Rows ship in column-major kResultBatch frames of at most four
+  /// rows.
   virtual void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                                   const exec::RowBatch& b) = 0;
   /// Routes partial aggregates. kTree sends to the dissemination-tree
   /// parent (which combines before forwarding); anything else goes straight
-  /// to the origin. One frame carries a whole flush worth of partial rows
-  /// (a single partial rides the row frame); the receiver unpacks and folds
-  /// them row by row.
+  /// to the origin. One kPartialBatch frame carries a whole flush worth of
+  /// partial rows (one row for a relayed partial); the receiver unpacks and
+  /// folds them row by row.
   virtual void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                                    const std::vector<catalog::Tuple>& partials,
                                    ExchangeKind route) = 0;

@@ -1,9 +1,8 @@
 // Shared query-layer protocol surface: the engine's tuning knobs, its
 // counters, the client-visible result batch, and the wire tags used by the
 // engine's direct and broadcast messages. Result and partial rows travel
-// in one of two encodings, both produced only by the engine's batch
-// delivery: a column-major RowBatch frame, or — for a single row — the
-// smaller row frame. Split out of engine.h so the
+// only as column-major RowBatch frames (kResultBatch/kPartialBatch), one
+// row or many. Split out of engine.h so the
 // exchange layer (src/query/exchange.h) and the operator stages
 // (src/query/ops/) can depend on it without pulling in the engine itself.
 
@@ -54,11 +53,6 @@ struct EngineOptions {
   /// result, bounded by recursion_deadline.
   Duration quiesce_window = Seconds(6);
   Duration recursion_deadline = Seconds(120);
-  /// Rows per batch on the batch plane: epochal scan pipelines decode store
-  /// slices into column batches, evaluate compiled predicate kernels,
-  /// aggregate with VectorGroupBy, and ship results/partials as column-major
-  /// RowBatch frames (one message per batch instead of one per tuple).
-  uint32_t batch_size = 1024;
   // -- admission control ------------------------------------------------------
   /// Per-node live-query budget. Origins refuse Execute() with
   /// Status::Busy; members shed the plan at install time and answer with a
@@ -119,8 +113,9 @@ struct EngineStats {
                                      ///< re-planned as broadcast scan
   // -- vectorized data plane -------------------------------------------------
   uint64_t batches_scanned = 0;      ///< RowBatches flushed by batch scans
-  uint64_t batch_frames_sent = 0;    ///< column-major wire frames sent
-  uint64_t batch_frames_received = 0;
+  /// RowBatch frames sent: results, partials and rehash puts (every row
+  /// frame on the query plane).
+  uint64_t batch_frames_sent = 0;
   /// Pipelines that ran a tuple path. Always 0: every producer feeds the
   /// batch plane. Kept because the perfbench report reads it.
   uint64_t vectorized_fallbacks = 0;
@@ -239,21 +234,17 @@ struct ResultBatch {
 
 /// Message types under overlay::Proto::kQuery (direct engine traffic).
 enum class MsgType : uint8_t {
-  /// Row frames: [qid][epoch][tuple] — the one-row encoding of a result or
-  /// partial batch.
-  kResultTuple = 1,
-  kPartialAgg = 2,
+  // Tags 1 and 2 are retired; do not reuse them.
   kFetchReq = 3,
   kFetchResp = 4,
   kBloomPart = 5,
-  /// Column-major RowBatch frames: the batch-plane twins of kResultTuple
-  /// and kPartialAgg. Payload: [qid][epoch][RowBatch] — one frame carries a
-  /// whole batch of rows.
+  /// Result and partial rows, the only encodings of either:
+  /// [qid][epoch][RowBatch], one row or a whole batch per frame.
   kResultBatch = 6,
   kPartialBatch = 7,
   /// Reliable envelope: [qid][frame_id][inner message bytes]. The inner
-  /// bytes are a complete direct message (kResultTuple/kPartialAgg/
-  /// kResultBatch/kPartialBatch/kEpochReport). Receivers always ack —
+  /// bytes are a complete direct message (kResultBatch/kPartialBatch/
+  /// kEpochReport and the other control messages). Receivers always ack —
   /// including duplicates and unknown queries, so retransmit storms die —
   /// and admit the inner message only on first sight of the frame id.
   kFrame = 8,

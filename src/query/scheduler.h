@@ -76,8 +76,8 @@ class QueryScheduler {
     /// scans for this long (and only while the namespace is unmodified), so
     /// a burst of concurrent queries shares one sweep.
     Duration shared_window = Millis(500);
-    /// Rows per materialized sweep batch (the engine's batch_size, so
-    /// mid-batch LIMIT pushdown sees the same granularity as a solo scan).
+    /// Rows per materialized sweep batch (mid-batch LIMIT pushdown sees the
+    /// same granularity as a solo scan).
     uint32_t batch_rows = 1024;
   };
   /// Schedules an engine-owned timer (auto-cancelled with the engine).

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
+
 #include "catalog/schema.h"
 #include "catalog/table_def.h"
 #include "catalog/tuple.h"
@@ -18,6 +23,29 @@
 #include "query/exchange.h"
 #include "query/plan.h"
 #include "sql/parser.h"
+
+namespace pier {
+namespace {
+/// Largest single heap request since the last reset: every operator new in
+/// this binary passes through the replacement below, so a decode test can
+/// check that no allocation was sized by a count the input merely claims.
+size_t g_max_alloc = 0;
+}  // namespace
+}  // namespace pier
+
+// Out of line, so the compiler never pairs an inlined malloc with a
+// delete-expression (or free with a new-expression) at a call site.
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  if (n > pier::g_max_alloc) pier::g_max_alloc = n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pier {
 namespace {
@@ -636,36 +664,109 @@ TEST(FuzzDeserialize, RowBatchRoundTripsByteIdentical) {
   EXPECT_EQ(bytes, back.EncodeToBytes());
 }
 
-// The rehash exchange's batch frame ([marker][side][RowBatch]) rides the
-// same DHT arrivals as legacy row frames; both decoders must survive each
-// other's frames and arbitrary corruption.
+// The int lane is zigzag varints: the extremes and the small values a
+// fixed-width lane wasted bytes on all survive the wire exactly.
+TEST(FuzzDeserialize, RowBatchInt64LaneRoundTripsByteIdentical) {
+  const int64_t kValues[] = {std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max(), -1, 0};
+  exec::RowBatchBuilder builder(std::vector<ValueType>{ValueType::kInt64});
+  for (int64_t v : kValues) builder.Append({Value::Int64(v)});
+  builder.Append({Value::Null()});
+  std::string bytes = builder.Take().EncodeToBytes();
+  exec::RowBatch back;
+  ASSERT_TRUE(exec::RowBatch::FromBytes(bytes, &back).ok());
+  ASSERT_EQ(back.num_rows(), 5u);
+  ASSERT_EQ(back.column(0).kind(), exec::Column::Kind::kInt64);
+  catalog::Tuple t;
+  for (size_t i = 0; i < 4; ++i) {
+    back.ToTuple(i, &t);
+    ASSERT_EQ(t[0].type(), ValueType::kInt64);
+    EXPECT_EQ(t[0].int64_value(), kValues[i]);
+  }
+  back.ToTuple(4, &t);
+  EXPECT_TRUE(t[0].is_null());
+  EXPECT_EQ(bytes, back.EncodeToBytes());
+  // Header (version, rows, cols) + kind + validity + 10 + 10 + 1 + 1 + 1:
+  // each extreme takes ten varint bytes, -1, 0 and the NULL slot one each.
+  EXPECT_EQ(bytes.size(), 3u + 1u + 1u + 23u);
+}
+
+// A one-column int batch header claiming `rows` rows, with its validity
+// bitmap (all valid) present and `tail` after it.
+std::string IntBatchFrame(uint32_t rows, const std::string& tail) {
+  // An empty batch encodes as [wire version][0 rows][0 columns].
+  std::string empty = exec::RowBatch().EncodeToBytes();
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(empty[0]));
+  w.PutVarint32(rows);
+  w.PutVarint32(1);
+  w.PutU8(static_cast<uint8_t>(exec::Column::Kind::kInt64));
+  std::string validity((rows + 7) / 8, '\xff');
+  w.PutRaw(validity.data(), validity.size());
+  w.PutRaw(tail.data(), tail.size());
+  return w.Release();
+}
+
+TEST(FuzzDeserialize, MalformedInt64LaneIsCorruption) {
+  auto decode = [](const std::string& bytes) {
+    exec::RowBatch b;
+    return exec::RowBatch::FromBytes(bytes, &b);
+  };
+  // The valid frame the malformed ones are cut from.
+  ASSERT_TRUE(decode(IntBatchFrame(1, "\x02")).ok());
+  // Truncated: a continuation byte, then the frame ends.
+  EXPECT_TRUE(decode(IntBatchFrame(1, "\x80")).IsCorruption());
+  // Overlong: ten continuation bytes before the stop byte (11 bytes).
+  EXPECT_TRUE(decode(IntBatchFrame(1, std::string(10, '\x80') + '\x01'))
+                  .IsCorruption());
+  // A frame that claims far more rows than it has bytes for is rejected
+  // before any lane is sized by the claim: the largest allocation stays
+  // below the claimed row count (the bitmap, backed by real input bytes,
+  // is an eighth of it).
+  const uint32_t kClaimed = 1u << 20;
+  std::string frame = IntBatchFrame(kClaimed, std::string(64, '\x02'));
+  g_max_alloc = 0;
+  Status s = decode(frame);
+  size_t peak = g_max_alloc;
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_LT(peak, kClaimed);
+  // Same claim without even the bitmap's bytes: nothing near it at all.
+  std::string bare = IntBatchFrame(kClaimed, "").substr(0, 8);
+  g_max_alloc = 0;
+  s = decode(bare);
+  peak = g_max_alloc;
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_LT(peak, 4096u);
+}
+
+// Every rehash put is one [side][RowBatch] frame; its one decoder must
+// survive arbitrary corruption.
 TEST(FuzzDeserialize, ExchangeBatchFrameGarbage) {
-  std::string frame = "\x42";
-  frame.push_back('\x01');
-  frame += ValidRowBatchBytes();
+  std::string frame = "\x01" + ValidRowBatchBytes();
   auto parse = [](const std::string& b) {
     dht::StoredItem item;
     item.value = b;
     int side = 0;
-    if (query::RehashExchange::IsBatchFrame(item)) {
-      exec::RowBatch batch;
-      (void)query::RehashExchange::DecodeBatchArrival(item, &side, &batch);
-    }
-    catalog::Tuple t;
-    (void)query::RehashExchange::DecodeArrival(item, &side, &t);
+    exec::RowBatch batch;
+    (void)query::RehashExchange::DecodeArrival(item, &side, &batch);
   };
   NoCrashOnGarbage(parse, 3000, 128, 32);
   NoCrashOnMutation(parse, frame, 33);
-  // The valid frame itself decodes.
+  // The valid frame itself decodes; a bad side byte or trailing bytes do
+  // not.
   dht::StoredItem item;
   item.value = frame;
-  ASSERT_TRUE(query::RehashExchange::IsBatchFrame(item));
   int side = -1;
   exec::RowBatch batch;
-  ASSERT_TRUE(
-      query::RehashExchange::DecodeBatchArrival(item, &side, &batch).ok());
+  ASSERT_TRUE(query::RehashExchange::DecodeArrival(item, &side, &batch).ok());
   EXPECT_EQ(side, 1);
   EXPECT_EQ(batch.num_rows(), 3u);
+  item.value = "\x02" + ValidRowBatchBytes();
+  EXPECT_TRUE(
+      query::RehashExchange::DecodeArrival(item, &side, &batch).IsCorruption());
+  item.value = frame + '\0';
+  EXPECT_TRUE(
+      query::RehashExchange::DecodeArrival(item, &side, &batch).IsCorruption());
 }
 
 // The Bloom filter wave's two frame bodies (kBloomPart member->origin,

@@ -189,16 +189,25 @@ TEST(QuerySelectTest, OrderByAndLimitAtOrigin) {
 
 // LIMIT without ORDER BY / DISTINCT / aggregation pushes first-k into the
 // member scans. The batch plane stops mid-batch: the answer holds exactly
-// LIMIT rows, and members stop reading the store long before exhausting it.
+// LIMIT rows, and each member stops after its first 1024-row sweep batch
+// of the three or more it holds.
 TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
-  PierNetworkOptions opts = OneHopOpts(53);
-  opts.node.engine.batch_size = 4;
-  PierNetwork net(2, opts);
+  PierNetwork net(2, OneHopOpts(53));
   net.Boot(Seconds(5));
   RegisterEverywhere(net, AlertsTable());
   std::vector<std::tuple<int, std::string, int>> rows;
-  for (int i = 0; i < 64; ++i) rows.push_back({i, "r", i});
+  for (int i = 0; i < 8192; ++i) rows.push_back({i, "r", i});
   PublishAlerts(net, rows);
+  constexpr uint64_t kBatchRows = 1024;  // QueryScheduler's sweep batch
+  for (size_t i = 0; i < net.size(); ++i) {
+    uint64_t held = 0;
+    net.node(i)->dht()->ForEachLocalReadable(
+        "alerts", [&](const dht::StoredItem&) {
+          ++held;
+          return true;
+        });
+    ASSERT_GT(held, 2 * kBatchRows) << "node " << i;
+  }
 
   QueryPlan plan;
   plan.graph = SelectGraph("alerts", AlertsTable().schema);
@@ -216,15 +225,11 @@ TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].rows.size(), 3u);
 
-  uint64_t scanned = 0, batch_scans = 0;
   for (size_t i = 0; i < net.size(); ++i) {
-    scanned += net.node(i)->query_engine()->stats().tuples_scanned;
-    batch_scans += net.node(i)->query_engine()->stats().batches_scanned;
+    const EngineStats& s = net.node(i)->query_engine()->stats();
+    EXPECT_EQ(s.batches_scanned, 1u) << "node " << i;
+    EXPECT_EQ(s.tuples_scanned, kBatchRows) << "node " << i;
   }
-  // Each member stops after one 4-row batch — nowhere near the 64
-  // published rows.
-  EXPECT_LE(scanned, 16u);
-  EXPECT_GT(batch_scans, 0u);
 }
 
 TEST(QuerySelectTest, DistinctAtOrigin) {
@@ -954,6 +959,195 @@ TEST(QueryRecursiveTest, ReachTuplesArrivingBeforeThePlanAreDrained) {
 }
 
 // ---------------------------------------------------------------------------
+// One row encoding: every row path ships RowBatch frames
+// ---------------------------------------------------------------------------
+
+// Int values of one to eight varint bytes, both signs.
+const int64_t kLaneValues[] = {0, -1, 1, 127, -(int64_t{1} << 40),
+                               int64_t{1} << 53, -123456789, 99};
+
+// Publishes `count` alerts with distinct rule ids; hits cycle through
+// kLaneValues.
+void PublishDistinctAlerts(PierNetwork& net, int count) {
+  for (int i = 0; i < count; ++i) {
+    Tuple t{Value::Int64(i), Value::String("r" + std::to_string(i)),
+            Value::Int64(kLaneValues[i % std::size(kLaneValues)])};
+    ASSERT_TRUE(net.node(i % net.size())
+                    ->query_engine()
+                    ->Publish("alerts", t)
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+}
+
+// Runs `plan` from node 0 and holds its single answer to the oracle.
+void ExpectOracleAnswer(PierNetwork& net, const QueryPlan& plan,
+                        Duration run) {
+  auto oracle = testkit::OracleEvaluate(net, plan);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  std::vector<ResultBatch> batches;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(plan,
+                            [&](const ResultBatch& b) { batches.push_back(b); })
+                  .ok());
+  net.RunFor(run);
+  ASSERT_EQ(batches.size(), 1u);
+  testkit::OracleScore score =
+      testkit::ScoreAnswer(oracle.value(), batches[0].rows);
+  EXPECT_GT(score.oracle_rows, 0u);
+  EXPECT_EQ(score.matched, score.oracle_rows) << score.ToString();
+  EXPECT_EQ(score.answer_rows, score.oracle_rows) << score.ToString();
+}
+
+// Results: every member holds exactly one matching row, so each ships a
+// one-row kResultBatch frame.
+TEST(QueryRowPathTest, ScanWithOneMatchingRowPerMember) {
+  PierNetwork net(8, OneHopOpts(97));
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());
+  PublishDistinctAlerts(net, 64);
+
+  // WHERE rule_id IN (the first rule each node stores).
+  exec::ExprPtr where;
+  std::vector<uint64_t> holds(net.size(), 0);
+  for (size_t i = 0; i < net.size(); ++i) {
+    net.node(i)->dht()->ForEachLocalReadable(
+        "alerts", [&](const dht::StoredItem& item) {
+          Tuple t;
+          EXPECT_TRUE(catalog::TupleFromBytes(item.value, &t).ok());
+          exec::ExprPtr arm =
+              Expr::Compare(CompareOp::kEq, Expr::Column(0),
+                            Expr::Literal(Value::Int64(t[0].int64_value())));
+          where = where == nullptr ? arm : Expr::Or(where, arm);
+          holds[i] = 1;
+          return false;
+        });
+  }
+  ASSERT_GE(std::count(holds.begin(), holds.end(), 1u), 6);
+  QueryPlan plan;
+  plan.graph = SelectGraph("alerts", AlertsTable().schema, where);
+  ExpectOracleAnswer(net, plan, Seconds(10));
+  for (size_t i = 1; i < net.size(); ++i) {
+    EXPECT_EQ(net.node(i)->query_engine()->stats().result_msgs_sent, holds[i])
+        << "node " << i;
+  }
+}
+
+// Partials: a global aggregate, so every leaf flushes one partial row and
+// every interior node relays one combined row up the tree.
+TEST(QueryRowPathTest, TreeAggregateWithOnePartialPerLeaf) {
+  PierNetwork net(24, ChordOpts(41));
+  net.Boot(Seconds(60));
+  RegisterEverywhere(net, AlertsTable());
+  PublishDistinctAlerts(net, 96);
+
+  QueryPlan plan;
+  plan.graph = AggregateGraph(
+      "alerts", AlertsTable().schema, {},
+      {{AggFunc::kSum, 2, "total"},
+       {AggFunc::kCount, -1, "n"},
+       {AggFunc::kMin, 2, "lo"},
+       {AggFunc::kMax, 2, "hi"}},
+      AggStrategy::kTree);
+  ExpectOracleAnswer(net, plan, Seconds(20));
+  uint64_t relayed = 0;
+  for (size_t i = 1; i < net.size(); ++i) {
+    relayed += net.node(i)->query_engine()->stats().partial_msgs_received;
+  }
+  EXPECT_GT(relayed, 0u) << "no interior node combined";
+}
+
+// Rehash puts: join keys are distinct within every member's scan, so each
+// owner bucket holds one row and each put is a one-row frame.
+TEST(QueryRowPathTest, SymmetricHashJoinWithSingleRowBuckets) {
+  PierNetworkOptions opts = OneHopOpts(101);
+  opts.node.engine.result_wait = Seconds(12);
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());
+  RegisterEverywhere(net, RulesTable());
+  PublishDistinctAlerts(net, 24);
+  for (int rule = 0; rule < 32; rule += 2) {
+    ASSERT_TRUE(net.node(rule % net.size())
+                    ->query_engine()
+                    ->Publish("rules", Tuple{Value::Int64(rule),
+                                             Value::Int64(-rule * 1000)})
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+
+  QueryPlan plan;
+  plan.graph = JoinGraph(ScanOp("alerts", AlertsTable().schema),
+                         ScanOp("rules", RulesTable().schema),
+                         JoinOp(JoinStrategy::kSymmetricHash, {0}, {0}));
+  ExpectOracleAnswer(net, plan, Seconds(20));
+  uint64_t puts = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    puts += net.node(i)->query_engine()->stats().rehash_puts;
+  }
+  EXPECT_EQ(puts, 24u + 16u);  // one put per row, both sides
+}
+
+// Reach puts: recursion over int64 vertex ids. The oracle does not evaluate
+// recursion, so the test computes the closure centrally.
+TEST(QueryRowPathTest, RecursiveClosureMatchesCentralClosure) {
+  PierNetworkOptions opts = OneHopOpts(103);
+  opts.node.engine.quiesce_window = Seconds(5);
+  PierNetwork net(6, opts);
+  net.Boot(Seconds(5));
+  TableDef edges_def;
+  edges_def.name = "edges";
+  edges_def.schema = Schema("edges", {{"src", ValueType::kInt64},
+                                      {"dst", ValueType::kInt64}});
+  edges_def.partition_cols = {0};
+  edges_def.ttl = Seconds(600);
+  RegisterEverywhere(net, edges_def);
+  // A chain through the lane's extremes with one branch: -1 -> 0 -> 2^40
+  // -> -(2^53), and 0 -> 7.
+  const int64_t kBig = int64_t{1} << 40;
+  const int64_t kNeg = -(int64_t{1} << 53);
+  std::vector<std::pair<int64_t, int64_t>> edges = {
+      {-1, 0}, {0, kBig}, {kBig, kNeg}, {0, 7}};
+  for (size_t i = 0; i < edges.size(); ++i) {
+    ASSERT_TRUE(net.node(i % net.size())
+                    ->query_engine()
+                    ->Publish("edges", Tuple{Value::Int64(edges[i].first),
+                                             Value::Int64(edges[i].second)})
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+  std::set<std::pair<int64_t, int64_t>> expected(edges.begin(), edges.end());
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [a, b] : std::set(expected)) {
+      for (const auto& [c, d] : edges) {
+        if (b == c) grew |= expected.insert({a, d}).second;
+      }
+    }
+  }
+  ASSERT_EQ(expected.size(), 8u);
+
+  QueryPlan plan;
+  plan.graph = RecursiveGraph("edges", edges_def.schema, 0, 1,
+                              /*max_hops=*/8);
+  std::vector<ResultBatch> batches;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(plan,
+                            [&](const ResultBatch& b) { batches.push_back(b); })
+                  .ok());
+  net.RunFor(Seconds(40));
+  ASSERT_EQ(batches.size(), 1u);
+  std::set<std::pair<int64_t, int64_t>> got;
+  for (const Tuple& t : batches[0].rows) {
+    got.insert({t[0].int64_value(), t[1].int64_value()});
+  }
+  EXPECT_EQ(batches[0].rows.size(), expected.size());
+  EXPECT_EQ(got, expected);
+}
+
+// ---------------------------------------------------------------------------
 // Robustness
 // ---------------------------------------------------------------------------
 
@@ -1190,7 +1384,7 @@ TEST(QueryRobustnessTest, ZeroColumnMaxRowBatchFramesForUnknownQueryDropped) {
     w.PutU8(static_cast<uint8_t>(type));
     w.PutVarint64(q);
     w.PutVarint64(epoch);
-    w.PutU8(1);  // RowBatch wire version
+    w.PutU8(2);  // RowBatch wire version
     w.PutVarint32(rows);
     w.PutVarint32(0);  // columns
     return w;
@@ -1200,7 +1394,6 @@ TEST(QueryRobustnessTest, ZeroColumnMaxRowBatchFramesForUnknownQueryDropped) {
   const EngineStats& s = net.node(1)->query_engine()->stats();
   const uint64_t results0 = s.result_msgs_received;
   const uint64_t partials0 = s.partial_msgs_received;
-  const uint64_t batches0 = s.batch_frames_received;
   const uint32_t kMaxRows = 1u << 20;  // the decoder's maximum
   const uint64_t kUnknown = qid.value() + 1000;
   for (int i = 0; i < 8; ++i) {
@@ -1214,14 +1407,13 @@ TEST(QueryRobustnessTest, ZeroColumnMaxRowBatchFramesForUnknownQueryDropped) {
   net.RunFor(Millis(500));
   EXPECT_EQ(s.result_msgs_received, results0);
   EXPECT_EQ(s.partial_msgs_received, partials0);
-  EXPECT_EQ(s.batch_frames_received, batches0);
 
   ASSERT_TRUE(tx->Send(to, overlay::Proto::kQuery,
                        frame(MsgType::kResultBatch, qid.value(), 0, 3))
                   .ok());
   net.RunFor(Millis(500));
   EXPECT_EQ(s.result_msgs_received, results0 + 1);
-  EXPECT_EQ(s.batch_frames_received, batches0 + 1);
+  EXPECT_EQ(s.partial_msgs_received, partials0);
 }
 
 // ---------------------------------------------------------------------------
