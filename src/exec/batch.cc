@@ -14,8 +14,11 @@ namespace {
 // Decode guards: a frame claiming more than this is corrupt, not big.
 constexpr uint32_t kMaxBatchRows = 1u << 20;
 constexpr uint32_t kMaxBatchCols = 4096;
-// Bumped whenever a lane's encoding changes (2: kInt64 as zigzag varints).
-constexpr uint8_t kBatchVersion = 2;
+// Bumped whenever a lane's encoding changes (2: kInt64 as zigzag varints;
+// 3: an all-valid column sets kAllValid in its kind byte and omits its
+// validity bitmap).
+constexpr uint8_t kBatchVersion = 3;
+constexpr uint8_t kAllValid = 0x80;
 
 constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
@@ -405,12 +408,17 @@ void RowBatch::Encode(Writer* w) const {
   size_t vbytes = (n + 7) / 8;
   std::vector<uint8_t> bits(vbytes, 0);
   for (const Column& c : cols_) {
-    w->PutU8(static_cast<uint8_t>(c.kind()));
     std::fill(bits.begin(), bits.end(), 0);
+    bool all_valid = true;
     for (size_t i = 0; i < n; ++i) {
-      if (!c.IsNull(i)) bits[i >> 3] |= 1u << (i & 7);
+      if (c.IsNull(i)) {
+        all_valid = false;
+      } else {
+        bits[i >> 3] |= 1u << (i & 7);
+      }
     }
-    w->PutRaw(bits.data(), vbytes);
+    w->PutU8(static_cast<uint8_t>(c.kind()) | (all_valid ? kAllValid : 0));
+    if (!all_valid) w->PutRaw(bits.data(), vbytes);
     switch (c.kind()) {
       case Column::Kind::kInt64:
         for (size_t i = 0; i < n; ++i) w->PutVarint64Signed(c.i64_[i]);
@@ -468,20 +476,28 @@ Status RowBatch::Decode(Reader* r, RowBatch* out) {
   std::vector<uint8_t> bits;
   out->cols_.reserve(ncols);
   for (uint32_t ci = 0; ci < ncols; ++ci) {
-    uint8_t kind = 0;
-    PIER_RETURN_IF_ERROR(r->GetU8(&kind));
+    uint8_t tag = 0;
+    PIER_RETURN_IF_ERROR(r->GetU8(&tag));
+    const bool all_valid = (tag & kAllValid) != 0;
+    const uint8_t kind = tag & static_cast<uint8_t>(~kAllValid);
     if (kind > static_cast<uint8_t>(Column::Kind::kMixed)) {
       return Status::Corruption("bad column kind");
     }
     Column c(static_cast<Column::Kind>(kind));
-    if (r->remaining() < vbytes) return Status::Corruption("batch truncated");
-    bits.resize(vbytes);
-    PIER_RETURN_IF_ERROR(r->GetRaw(bits.data(), vbytes));
     c.size_ = n;
-    c.validity_.assign((n + 63) / 64, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (bits[i >> 3] & (1u << (i & 7))) {
-        c.validity_[i >> 6] |= 1ull << (i & 63);
+    if (all_valid) {
+      // Bits past the last row stay clear, as PushValidity leaves them.
+      c.validity_.assign((n + 63) / 64, ~0ull);
+      if ((n & 63) != 0) c.validity_.back() = (1ull << (n & 63)) - 1;
+    } else {
+      if (r->remaining() < vbytes) return Status::Corruption("batch truncated");
+      bits.resize(vbytes);
+      PIER_RETURN_IF_ERROR(r->GetRaw(bits.data(), vbytes));
+      c.validity_.assign((n + 63) / 64, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (bits[i >> 3] & (1u << (i & 7))) {
+          c.validity_[i >> 6] |= 1ull << (i & 63);
+        }
       }
     }
     switch (c.kind_) {

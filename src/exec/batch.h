@@ -177,7 +177,9 @@ class RowBatch {
   static RowBatch OfRow(const catalog::Tuple& t);
 
   /// Column-major wire frame of the live rows (selection compacted away).
-  /// One Encode is one network Payload body — the whole point.
+  /// One Encode is one network Payload body — the whole point. Per column:
+  /// a kind byte (high bit set when no row is NULL), the validity bitmap
+  /// unless that bit is set, then the lane.
   void Encode(Writer* w) const;
   std::string EncodeToBytes() const;
   /// Strict inverse of Encode. Malformed bytes return a Status and leave

@@ -739,6 +739,62 @@ TEST(FuzzDeserialize, MalformedInt64LaneIsCorruption) {
   EXPECT_LT(peak, 4096u);
 }
 
+// A column with no NULL flags its kind byte and ships no validity bitmap:
+// a one-row, two-column NULL-free frame is the header, two kind bytes and
+// the two values.
+TEST(FuzzDeserialize, RowBatchAllValidColumnOmitsItsBitmap) {
+  exec::RowBatchBuilder builder(
+      std::vector<ValueType>{ValueType::kInt64, ValueType::kString});
+  builder.Append({Value::Int64(-3), Value::String("ab")});
+  std::string bytes = builder.Take().EncodeToBytes();
+  // Header (version, rows, cols) + kind + 1 + kind + 1 + 2.
+  EXPECT_EQ(bytes.size(), 3u + 2u + 4u);
+  EXPECT_EQ(static_cast<uint8_t>(bytes[3]),
+            0x80 | static_cast<uint8_t>(exec::Column::Kind::kInt64));
+  exec::RowBatch back;
+  ASSERT_TRUE(exec::RowBatch::FromBytes(bytes, &back).ok());
+  catalog::Tuple t;
+  back.ToTuple(0, &t);
+  EXPECT_EQ(t[0].int64_value(), -3);
+  EXPECT_EQ(t[1].string_value(), "ab");
+  EXPECT_EQ(bytes, back.EncodeToBytes());
+}
+
+TEST(FuzzDeserialize, BadColumnFlagIsCorruption) {
+  auto frame = [](uint8_t kind_byte, const std::string& tail) {
+    std::string empty = exec::RowBatch().EncodeToBytes();
+    Writer w;
+    w.PutU8(static_cast<uint8_t>(empty[0]));
+    w.PutVarint32(1);
+    w.PutVarint32(1);
+    w.PutU8(kind_byte);
+    w.PutRaw(tail.data(), tail.size());
+    return w.Release();
+  };
+  auto decode = [](const std::string& bytes) {
+    exec::RowBatch b;
+    return exec::RowBatch::FromBytes(bytes, &b);
+  };
+  const uint8_t kInt = static_cast<uint8_t>(exec::Column::Kind::kInt64);
+  // The positive controls: flagged (no bitmap) and unflagged (bitmap).
+  ASSERT_TRUE(decode(frame(0x80 | kInt, "\x02")).ok());
+  ASSERT_TRUE(decode(frame(kInt, std::string("\x01\x02", 2))).ok());
+  // A flagged column that still carries a bitmap leaves trailing bytes.
+  EXPECT_TRUE(decode(frame(0x80 | kInt, std::string("\x01\x02", 2)))
+                  .IsCorruption());
+  // Bits other than the all-valid flag are not a kind, whichever layout
+  // the rest of the frame would fit if the bit were ignored.
+  EXPECT_TRUE(decode(frame(0x40 | kInt, "\x02")).IsCorruption());
+  EXPECT_TRUE(decode(frame(0x40 | kInt, std::string("\x01\x02", 2)))
+                  .IsCorruption());
+  EXPECT_TRUE(decode(frame(0xC0 | kInt, "\x02")).IsCorruption());
+  EXPECT_TRUE(decode(frame(0xFF, "\x02")).IsCorruption());
+  // The flag over an out-of-range kind is still a bad kind.
+  EXPECT_TRUE(decode(frame(0x85, "\x02")).IsCorruption());
+  // A flagged column with its lane cut off is truncated.
+  EXPECT_TRUE(decode(frame(0x80 | kInt, "")).IsCorruption());
+}
+
 // Every rehash put is one [side][RowBatch] frame; its one decoder must
 // survive arbitrary corruption.
 TEST(FuzzDeserialize, ExchangeBatchFrameGarbage) {

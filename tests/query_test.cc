@@ -1384,7 +1384,7 @@ TEST(QueryRobustnessTest, ZeroColumnMaxRowBatchFramesForUnknownQueryDropped) {
     w.PutU8(static_cast<uint8_t>(type));
     w.PutVarint64(q);
     w.PutVarint64(epoch);
-    w.PutU8(2);  // RowBatch wire version
+    w.PutU8(3);  // RowBatch wire version
     w.PutVarint32(rows);
     w.PutVarint32(0);  // columns
     return w;

@@ -324,6 +324,45 @@ TEST(RowBatchCodecTest, RoundTripsRandomBatches) {
   }
 }
 
+// A NULL-free column ships without its validity bitmap; the decoded
+// column must still behave like one built by appends (bits past the last
+// row clear), so appending a NULL after a 70-row decode reads as NULL.
+TEST(RowBatchCodecTest, AllValidColumnRoundTripsWithoutBitmap) {
+  RowBatchBuilder builder(
+      std::vector<ValueType>{ValueType::kInt64, ValueType::kDouble});
+  for (int64_t i = 0; i < 70; ++i) {
+    builder.Append({Value::Int64(i * 7 - 100),
+                    i == 5 ? Value::Null() : Value::Double(0.5 * i)});
+  }
+  RowBatch batch = builder.Take();
+  std::string bytes = batch.EncodeToBytes();
+  RowBatch back;
+  ASSERT_TRUE(RowBatch::FromBytes(bytes, &back).ok());
+  ASSERT_EQ(back.num_rows(), 70u);
+  for (size_t i = 0; i < 70; ++i) {
+    Tuple got, want;
+    back.ToTuple(i, &got);
+    batch.ToTuple(i, &want);
+    EXPECT_EQ(catalog::CompareTuples(got, want), 0) << "row " << i;
+  }
+  EXPECT_TRUE(back.column(1).IsNull(5));
+  EXPECT_EQ(bytes, back.EncodeToBytes());
+  // The int column dropped its 9-byte bitmap, the double column kept it:
+  // header 3 + int (1 + 70 varints) + double (1 + 9 + 70 * 8).
+  size_t int_lane = 0;
+  for (int64_t i = 0; i < 70; ++i) {
+    Writer w;
+    w.PutVarint64Signed(i * 7 - 100);
+    int_lane += w.buffer().size();
+  }
+  EXPECT_EQ(bytes.size(), 3u + 1u + int_lane + 1u + 9u + 70u * 8u);
+  Column* ints = back.mutable_column(0);
+  ints->AppendNull();
+  EXPECT_TRUE(ints->IsNull(70));
+  ints->AppendInt64(1);
+  EXPECT_FALSE(ints->IsNull(71));
+}
+
 TEST(RowBatchCodecTest, EncodeCompactsSelection) {
   Rng rng(5);
   TestBatch tb = MakeBatch(&rng, 100);
