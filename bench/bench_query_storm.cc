@@ -17,7 +17,10 @@
 //   bytes        network traffic for the whole storm;
 //   shared scans sweep sharing across concurrent same-table scans — the
 //                scheduler's headline: store sweeps must come out measurably
-//                fewer than scan tasks.
+//                fewer than scan tasks;
+//   idx rounds   mean critical path of an index scan in DHT round trips
+//                (EngineStats::index_rounds / index_scans_run): a locate
+//                seeded with a leaf depth the origin holds plus the window.
 //
 // The self-check gates the exit code: every query must answer with exactly
 // its oracle row count (clean network, deterministic data), admission must
@@ -25,7 +28,8 @@
 // trip, sweep sharing must actually engage, and every disseminated query
 // must cost exactly one broadcast wave: the network-wide broadcasts
 // initiated during the storm equal scans + joins + index fallbacks (one-shot
-// queries end without a teardown wave). All checks are virtual-time
+// queries end without a teardown wave), and an index scan must average at
+// most kMaxIndexRounds round trips. All checks are virtual-time
 // deterministic; wall clock is recorded but never gated.
 //
 // `--json[=path]` merges the metrics into the shared report (BENCH_PR10.json).
@@ -54,6 +58,10 @@ constexpr int kSensors = 31;
 constexpr int kZones = 8;
 constexpr int kQueries = 1000;
 constexpr Duration kStagger = Millis(25);
+/// Gate on the mean index-scan critical path: the seeded locate reads the
+/// first leaf in one round and the window the rest in one more; the
+/// unseeded depth search alone took three.
+constexpr double kMaxIndexRounds = 2.5;
 
 TableDef ReadingsTable() {
   TableDef def;
@@ -169,6 +177,9 @@ struct StormResult {
   uint64_t store_sweeps = 0;
   uint64_t shared_scan_hits = 0;
   uint64_t sched_rounds = 0;
+  uint64_t index_scans = 0;
+  uint64_t index_rounds = 0;
+  double index_rounds_mean = 0;
   uint64_t admission_refusals = 0;
   uint64_t budget_trips = 0;
   uint64_t broadcasts = 0;            ///< waves initiated during the storm
@@ -276,14 +287,21 @@ StormResult RunStorm() {
     out.store_sweeps += s.store_sweeps;
     out.shared_scan_hits += s.shared_scan_hits;
     out.sched_rounds += s.sched_rounds;
+    out.index_scans += s.index_scans_run;
+    out.index_rounds += s.index_rounds;
     out.admission_refusals += s.admission_refusals;
     out.budget_trips += s.budget_trips;
     out.disseminated_queries += s.index_fallbacks;
   }
+  if (out.index_scans > 0) {
+    out.index_rounds_mean = static_cast<double>(out.index_rounds) /
+                            static_cast<double>(out.index_scans);
+  }
   out.ok = out.answered == kQueries && out.correct == kQueries &&
            out.admission_refusals == 0 && out.budget_trips == 0 &&
            out.shared_scan_hits > 0 && out.store_sweeps < out.scans_run &&
-           out.broadcasts == out.disseminated_queries;
+           out.broadcasts == out.disseminated_queries &&
+           out.index_scans > 0 && out.index_rounds_mean <= kMaxIndexRounds;
   return out;
 }
 
@@ -299,16 +317,18 @@ int main(int argc, char** argv) {
   StormResult r = RunStorm();
   double wall = timer.Seconds();
   std::printf(
-      "answered %zu/%d (correct %zu)  p50 %.3fs  p99 %.3fs  %.1f MiB\n"
+      "answered %zu/%d (correct %zu)  p50 %.3fs  p99 %.3fs  %.1f MiB  "
+      "idx rounds %.2f/scan over %" PRIu64 " scans (gate <= %.1f)\n"
       "scan tasks %" PRIu64 "  store sweeps %" PRIu64 "  shared hits %" PRIu64
       "  sched rounds %" PRIu64 "  broadcasts %" PRIu64
       " (disseminated queries %" PRIu64 ")\n"
       "admission refusals %" PRIu64 "  budget trips %" PRIu64
       "  wall %.2fs  self-check %s\n",
       r.answered, kQueries, r.correct, r.p50_s, r.p99_s,
-      r.bytes / (1024.0 * 1024.0), r.scans_run, r.store_sweeps,
-      r.shared_scan_hits, r.sched_rounds, r.broadcasts,
-      r.disseminated_queries, r.admission_refusals, r.budget_trips, wall,
+      r.bytes / (1024.0 * 1024.0), r.index_rounds_mean, r.index_scans,
+      kMaxIndexRounds, r.scans_run, r.store_sweeps, r.shared_scan_hits,
+      r.sched_rounds, r.broadcasts, r.disseminated_queries,
+      r.admission_refusals, r.budget_trips, wall,
       r.ok ? "OK" : "FAILED");
   if (json.enabled) {
     bench::JsonReport report("bench_query_storm");
@@ -324,6 +344,7 @@ int main(int argc, char** argv) {
     report.Metric("shared_scan_hits",
                   static_cast<double>(r.shared_scan_hits), "count");
     report.Metric("broadcasts", static_cast<double>(r.broadcasts), "count");
+    report.Metric("index_rounds_per_scan", r.index_rounds_mean, "count");
     if (!report.WriteMerged(json.path)) {
       std::printf("failed to write %s\n", json.path.c_str());
       return 1;

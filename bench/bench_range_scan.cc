@@ -18,15 +18,16 @@
 //              critical path in round trips (EngineStats::index_rounds);
 //   rows       answer size, self-checked against the expected count.
 //
-// `--json[=path]` runs the 64-node / 1% point plus the 10% index answer at
-// 64 and 256 nodes, and merges machine-readable metrics (shared
+// `--json[=path]` runs the 1% point on both paths and the 10% index answer
+// at 64 and 256 nodes, and merges machine-readable metrics (shared
 // common/bench_json schema). The self-check gates the exit code: both paths
 // must return the exact expected rows, the index must touch < 25% of the
 // overlay while the scan touches all of it, both answers must close well
-// inside the result window, and the index must answer a 10% range in under
-// kWideRangeBound at both sizes (all virtual-time, so the check is
-// deterministic, never a wall-clock flake). The sweep applies the same row
-// checks and the 10% bound.
+// inside the result window, the index must answer a 1% range before the
+// broadcast scan does at both sizes, and a 10% range in under
+// kWideRangeBound (all virtual-time, so the check is deterministic, never a
+// wall-clock flake). The sweep applies the same row checks, the 1% latency
+// gate and the 10% bound.
 
 #include <cinttypes>
 #include <cstdio>
@@ -173,6 +174,20 @@ bool WideRangeOk(const QueryCost& idx, size_t nodes) {
   return ok;
 }
 
+/// The index must beat the broadcast scan on a 1% range: its seeded locate
+/// and window take two round trips where the scan waits for certification.
+bool NarrowRangeOk(const QueryCost& idx, const QueryCost& scan,
+                   size_t nodes) {
+  bool ok = idx.ok && scan.ok && idx.used_index &&
+            idx.answer_s < scan.answer_s;
+  if (!ok) {
+    std::printf("  SELF-CHECK FAILED: %zu nodes, 1%% index answer %.3fs "
+                "not under the scan's %.3fs\n",
+                nodes, idx.answer_s, scan.answer_s);
+  }
+  return ok;
+}
+
 bool SweepAt(size_t nodes) {
   Deployment d(nodes);
   bool ok = true;
@@ -184,6 +199,7 @@ bool SweepAt(size_t nodes) {
     QueryCost idx = RunQuery(*d.net, sel, /*use_index=*/true);
     QueryCost scan = RunQuery(*d.net, sel, /*use_index=*/false);
     ok = ok && idx.ok && scan.ok;
+    if (sel == 0.01) ok = NarrowRangeOk(idx, scan, nodes) && ok;
     if (sel == 0.1) ok = WideRangeOk(idx, nodes) && ok;
     std::printf("%7.1f %7zu %8.2f %10" PRIu64
                 " %6zu/%-2zu %12.1f %8.2f %7zu/%-2zu %12.1f %8.1fx\n",
@@ -210,6 +226,8 @@ int main(int argc, char** argv) {
     QueryCost scan = RunQuery(*d.net, 0.01, /*use_index=*/false);
     QueryCost wide64 = RunQuery(*d.net, 0.1, /*use_index=*/true);
     Deployment d256(256);
+    QueryCost idx256 = RunQuery(*d256.net, 0.01, /*use_index=*/true);
+    QueryCost scan256 = RunQuery(*d256.net, 0.01, /*use_index=*/false);
     QueryCost wide256 = RunQuery(*d256.net, 0.1, /*use_index=*/true);
     double wall = timer.Seconds();
     double speedup = idx.answer_s > 0 ? scan.answer_s / idx.answer_s : 0.0;
@@ -219,19 +237,24 @@ int main(int argc, char** argv) {
     // gates is the work contract — the index touches a sliver of the
     // overlay, the scan touches all of it — plus both paths closing well
     // inside the 10s window (the scan's early certification is itself a
-    // gated behavior now). A 10% range must stay within a few round trips
-    // of the 1% one at both overlay sizes.
+    // gated behavior now). The 1% index answer must still come in under
+    // the scan's at both sizes, and a 10% range must stay within a few
+    // round trips of the 1% one.
     bool ok = idx.ok && scan.ok && idx.used_index && idx.contacted * 4 < 64 &&
               scan.contacted == 64 && idx.answer_s < 5.0 &&
               scan.answer_s < 5.0;
+    ok = NarrowRangeOk(idx, scan, 64) && ok;
+    ok = NarrowRangeOk(idx256, scan256, 256) && ok;
     ok = WideRangeOk(wide64, 64) && ok;
     ok = WideRangeOk(wide256, 256) && ok;
     std::printf(
         "index: %.3fs %" PRIu64 " rounds %zu nodes touched; scan: %.3fs %zu "
-        "nodes touched; speedup %.1fx; 10%% index: %.3fs @64 %.3fs @256; "
+        "nodes touched; speedup %.1fx; 1%% @256: index %.3fs %" PRIu64
+        " rounds, scan %.3fs; 10%% index: %.3fs @64 %.3fs @256; "
         "wall %.2fs; self-check %s\n",
         idx.answer_s, idx.rounds, idx.contacted, scan.answer_s,
-        scan.contacted, speedup, wide64.answer_s, wide256.answer_s, wall,
+        scan.contacted, speedup, idx256.answer_s, idx256.rounds,
+        scan256.answer_s, wide64.answer_s, wide256.answer_s, wall,
         ok ? "OK" : "FAILED");
     bench::JsonReport report("bench_range_scan");
     report.Metric("wall_clock", wall, "s");
@@ -240,6 +263,10 @@ int main(int argc, char** argv) {
     report.Metric("index_answer_time_10pct_64", wide64.answer_s, "s");
     report.Metric("index_answer_time_10pct_256", wide256.answer_s, "s");
     report.Metric("scan_answer_time", scan.answer_s, "s");
+    report.Metric("index_answer_time_256", idx256.answer_s, "s");
+    report.Metric("index_rounds_256", static_cast<double>(idx256.rounds),
+                  "count");
+    report.Metric("scan_answer_time_256", scan256.answer_s, "s");
     report.Metric("speedup", speedup, "x");
     report.Metric("index_nodes_contacted",
                   static_cast<double>(idx.contacted), "nodes");

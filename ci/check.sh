@@ -110,7 +110,8 @@ if [[ $PERF -eq 1 ]]; then
   # counts, and bench_range_scan's deterministic virtual-time contract:
   # exact rows on both access paths, index touching < 25% of nodes while
   # the scan touches all of them, both answers closing well inside the
-  # result window, a 10% index answer under 2.0 s at 64 and 256 nodes);
+  # result window, a 1% index answer under the broadcast scan's at 64 and
+  # 256 nodes, a 10% index answer under 2.0 s at 64 and 256 nodes);
   # wall-clock numbers are recorded, never gated on.
   echo "== perf smoke (BENCH_PR10.json) =="
   "$BUILD_DIR/bench_sim_core" --json=BENCH_PR10.json
@@ -129,8 +130,9 @@ if [[ $PERF -eq 1 ]]; then
   # The multi-tenant storm: 1000 mixed index/scan/join queries over 256
   # nodes. Gates on exact answers for every query, zero admission refusals
   # or budget trips at the raised budgets, the scheduler's sweep sharing
-  # actually engaging (store sweeps < scan tasks), and one broadcast wave
-  # per disseminated query (broadcasts = scans + joins + index fallbacks).
+  # actually engaging (store sweeps < scan tasks), one broadcast wave per
+  # disseminated query (broadcasts = scans + joins + index fallbacks), and
+  # a mean index-scan critical path of at most 2.5 DHT round trips.
   "$BUILD_DIR/bench_query_storm" --json=BENCH_PR10.json | tail -4
   # Join-strategy ablation + planner selection. Gates on every strategy
   # returning the exact join answer and on the stats-driven planner choice

@@ -62,6 +62,14 @@ void Dht::UnsubscribeArrivals(const std::string& ns) {
   arrival_subscribers_.erase(ns);
 }
 
+void Dht::ObserveReplicas(const std::string& ns, ReplicaFn fn) {
+  if (fn) {
+    replica_observers_[ns] = std::move(fn);
+  } else {
+    replica_observers_.erase(ns);
+  }
+}
+
 void Dht::SendPutOnce(const DhtKey& key, const std::string& value,
                       Duration ttl, bool replicate, PutCallback done,
                       int attempt) {
@@ -276,6 +284,8 @@ void Dht::OnDirect(sim::HostId /*from*/, Reader* r) {
       item.stored_at = sim_->now();
       item.publisher = publisher;
       item.replica = true;
+      auto obs = replica_observers_.find(item.key.ns);
+      if (obs != replica_observers_.end()) obs->second(item);
       store_.Put(std::move(item));
       ++stats_.replicas_received;
       break;

@@ -106,6 +106,13 @@ class Dht {
   void SubscribeArrivals(const std::string& ns, ArrivalFn fn);
   void UnsubscribeArrivals(const std::string& ns);
 
+  /// Registers `fn` to observe every replica copy pushed to THIS node under
+  /// `ns` as it is stored; an observer cannot refuse a copy. The PHT
+  /// index learns the trie markers it holds as a replica this way. One
+  /// observer per namespace; an empty `fn` removes it.
+  using ReplicaFn = std::function<void(const StoredItem&)>;
+  void ObserveReplicas(const std::string& ns, ReplicaFn fn);
+
   /// Re-publishes (identical to Put; renewal is just an idempotent re-put
   /// that extends the expiry — the soft-state heartbeat).
   void Renew(const DhtKey& key, std::string value, Duration ttl,
@@ -182,6 +189,7 @@ class Dht {
   bool running_ = false;
   DhtStats stats_;
   std::unordered_map<std::string, ArrivalFn> arrival_subscribers_;
+  std::unordered_map<std::string, ReplicaFn> replica_observers_;
 };
 
 /// Keeps a set of items alive by re-putting them every ttl/2 — the

@@ -73,6 +73,14 @@ std::string Prefix(uint64_t key, int depth) {
   return out;
 }
 
+uint64_t PrefixFirstKey(const std::string& prefix) {
+  uint64_t key = 0;
+  for (size_t b = 0; b < prefix.size(); ++b) {
+    if (prefix[b] == '1') key |= 1ull << (kKeyBits - 1 - b);
+  }
+  return key;
+}
+
 bool NextKeyAfterPrefix(const std::string& prefix, uint64_t* out) {
   // Increment the prefix as a binary number; keys below the incremented
   // prefix (padded with zeros) are exactly the keys above everything the
@@ -87,11 +95,7 @@ bool NextKeyAfterPrefix(const std::string& prefix, uint64_t* out) {
     p[i] = '0';
   }
   if (i < 0) return false;  // prefix was all ones
-  uint64_t key = 0;
-  for (size_t b = 0; b < p.size(); ++b) {
-    if (p[b] == '1') key |= 1ull << (kKeyBits - 1 - b);
-  }
-  *out = key;
+  *out = PrefixFirstKey(p);
   return true;
 }
 

@@ -50,6 +50,9 @@ bool EncodeValue(const Value& v, ValueType col_type, BoundSide side,
 /// trie node covering that prefix).
 std::string Prefix(uint64_t key, int depth);
 
+/// Smallest key a '0'/'1' `prefix` covers: the inverse of Prefix.
+uint64_t PrefixFirstKey(const std::string& prefix);
+
 /// Bit `i` (0 = most significant) of `key`.
 inline int Bit(uint64_t key, int i) {
   return static_cast<int>((key >> (kKeyBits - 1 - i)) & 1u);

@@ -1,5 +1,7 @@
 #include "index/pht.h"
 
+#include <iterator>
+
 #include "common/backoff.h"
 
 namespace pier {
@@ -73,6 +75,18 @@ PhtIndex::PhtIndex(dht::Dht* dht, sim::Simulation* sim, std::string ns,
   dht_->SubscribeArrivals(ns_, [this](const dht::StoredItem& item) {
     return OnArrival(item);
   });
+  // Markers replicated here seed cursor locates as well as owned ones.
+  dht_->ObserveReplicas(ns_, [this](const dht::StoredItem& item) {
+    if (item.key.instance != kMarkerInstance ||
+        !ValidPrefix(item.key.resource)) {
+      return;
+    }
+    Reader r(item.value);
+    PhtNodeRecord rec;
+    if (PhtNodeRecord::Deserialize(&r, &rec).ok()) {
+      NoteMarker(item.key.resource, rec.internal);
+    }
+  });
   // Deterministic (node, namespace) phase/period spread: without it every
   // node booted at t=0 fires its sweep on the same tick, and the repair
   // traffic arrives in synchronized bursts.
@@ -99,6 +113,7 @@ PhtIndex::~PhtIndex() { Detach(); }
 void PhtIndex::Detach() {
   if (attached_) {
     dht_->UnsubscribeArrivals(ns_);
+    dht_->ObserveReplicas(ns_, nullptr);
     repair_task_.Stop();
     attached_ = false;
   }
@@ -173,7 +188,32 @@ bool PhtIndex::LocalMarkerInternal(const std::string& prefix) const {
   return internal;
 }
 
+int PhtIndex::LeafDepthNear(uint64_t key) const {
+  if (leaves_.empty()) return -1;
+  auto after = leaves_.upper_bound(key);
+  if (after == leaves_.begin()) return after->second;
+  auto at = std::prev(after);
+  if (after == leaves_.end()) return at->second;
+  // `at` starts at or before `key`: it covers it, or ends left of it.
+  int depth = at->second;
+  uint64_t last = at->first | (depth == 0 ? ~0ull : ~0ull >> depth);
+  if (key <= last || key - last <= after->first - key) return depth;
+  return after->second;
+}
+
+void PhtIndex::NoteMarker(const std::string& prefix, bool internal) {
+  uint64_t first = PrefixFirstKey(prefix);
+  int depth = static_cast<int>(prefix.size());
+  if (!internal) {
+    leaves_[first] = depth;
+    return;
+  }
+  auto it = leaves_.find(first);
+  if (it != leaves_.end() && it->second == depth) leaves_.erase(it);
+}
+
 void PhtIndex::TouchMarker(const std::string& prefix, bool internal) {
+  NoteMarker(prefix, internal);
   dht::StoredItem marker;
   marker.key = dht::DhtKey{ns_, prefix, kMarkerInstance};
   marker.value = MarkerBytes(internal);
@@ -198,6 +238,7 @@ bool PhtIndex::OnArrival(const dht::StoredItem& item) {
       // marker must not downgrade it and orphan the subtree.
       return false;
     }
+    NoteMarker(prefix, rec.internal);
     return true;
   }
 

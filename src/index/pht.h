@@ -41,6 +41,7 @@
 #ifndef PIER_INDEX_PHT_H_
 #define PIER_INDEX_PHT_H_
 
+#include <map>
 #include <string>
 #include <unordered_set>
 
@@ -106,8 +107,9 @@ struct PhtStats {
 /// (registered as the DHT arrival subscriber for the index namespace).
 class PhtIndex {
  public:
-  /// `dht` and `sim` must outlive this object. Subscribes to arrivals on
-  /// `ns` immediately; call Detach() (or destroy) to unsubscribe.
+  /// `dht` and `sim` must outlive this object. Subscribes to arrivals and
+  /// replica copies on `ns` immediately; call Detach() (or destroy) to
+  /// unsubscribe.
   PhtIndex(dht::Dht* dht, sim::Simulation* sim, std::string ns,
            PhtOptions options);
   ~PhtIndex();
@@ -126,6 +128,13 @@ class PhtIndex {
 
   void Detach();
 
+  /// Depth of the leaf nearest `key` in key order among the leaves this
+  /// node has stored a marker for, as owner or as replica; -1 when it holds
+  /// none. O(log n). Sibling leaves sit at similar depths, so this seeds
+  /// the cursor's locate (PhtCursor's `start_depth`); a stale or wrong
+  /// answer costs that walk at most one get.
+  int LeafDepthNear(uint64_t key) const;
+
   const std::string& ns() const { return ns_; }
   const PhtOptions& options() const { return options_; }
   const PhtStats& stats() const { return stats_; }
@@ -137,6 +146,8 @@ class PhtIndex {
   void Split(const std::string& prefix, const dht::StoredItem& incoming);
   /// Writes/refreshes the local marker for `prefix` (owner-side, in-store).
   void TouchMarker(const std::string& prefix, bool internal);
+  /// Keeps leaves_ in step with a marker this node stores for `prefix`.
+  void NoteMarker(const std::string& prefix, bool internal);
   bool LocalMarkerInternal(const std::string& prefix) const;
   void PutEntryAt(const std::string& prefix, const PhtEntry& entry,
                   Duration ttl, uint64_t instance);
@@ -161,6 +172,10 @@ class PhtIndex {
   /// Prefixes this node has learned are internal (from splits and forwards
   /// it performed) — lets local inserts skip the upper trie levels.
   std::unordered_set<std::string> known_internal_;
+  /// Leaf prefixes this node stored a marker for (owned or replicated),
+  /// first key -> depth; a prefix leaves when it splits here or an
+  /// internal marker for it lands here.
+  std::map<uint64_t, int> leaves_;
 };
 
 }  // namespace index

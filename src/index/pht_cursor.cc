@@ -16,8 +16,13 @@ uint64_t Mask(int depth) {
 
 uint64_t PhtCursor::Node::last() const { return first | ~Mask(depth); }
 
-PhtCursor::PhtCursor(GetFn get, uint64_t lo, uint64_t hi)
-    : get_(std::move(get)), lo_(lo), hi_(hi) {}
+PhtCursor::PhtCursor(GetFn get, uint64_t lo, uint64_t hi, int start_depth)
+    : get_(std::move(get)), lo_(lo), hi_(hi) {
+  // Search 0 locates the leaf covering lo.
+  if (start_depth < 0 || start_depth > kKeyBits) start_depth = -1;
+  searches_.push_back(Search{lo_, lo_, 0, kKeyBits, start_depth});
+  ready_searches_.push_back(0);
+}
 
 void PhtCursor::Run(RowFn row, DoneFn done) {
   row_ = std::move(row);
@@ -26,8 +31,6 @@ void PhtCursor::Run(RowFn row, DoneFn done) {
     Finish(Outcome::kOk, Status::OK());
     return;
   }
-  searches_.push_back(Search{lo_, lo_, 0, kKeyBits});
-  ready_searches_.push_back(0);
   Pump();
 }
 
@@ -76,19 +79,33 @@ bool PhtCursor::Step(size_t s, Node* need) {
       }
       return false;
     }
-    int depth = (se.lo_depth + se.hi_depth) / 2;
+    const bool seeded = se.seed_depth >= 0;
+    int depth = seeded ? se.seed_depth : (se.lo_depth + se.hi_depth) / 2;
     Node node{se.first & Mask(depth), depth};
     std::string prefix = Prefix(se.first, depth);
     // A prefix above a found leaf is internal: no get needed.
     auto below = covered_.lower_bound(node.first);
-    if (known_internal_.count(prefix) > 0 ||
-        (below != covered_.end() && below->first <= node.last())) {
-      se.lo_depth = depth + 1;
-    } else if (known_empty_.count(prefix) > 0) {
-      se.hi_depth = depth - 1;
-    } else {
+    bool internal = depth <= se.internal_to ||
+                    known_internal_.count(prefix) > 0 ||
+                    (below != covered_.end() && below->first <= node.last());
+    bool empty = !internal && (depth >= se.empty_from ||
+                               known_empty_.count(prefix) > 0);
+    if (!internal && !empty) {
       *need = node;
       return true;
+    }
+    if (seeded) {
+      // The seed bounds the midpoints without moving them.
+      se.seed_depth = -1;
+      if (internal) {
+        se.internal_to = depth;
+      } else {
+        se.empty_from = depth;
+      }
+    } else if (internal) {
+      se.lo_depth = depth + 1;
+    } else {
+      se.hi_depth = depth - 1;
     }
   }
   se.open = false;
@@ -155,6 +172,12 @@ void PhtCursor::OnReply(const std::string& prefix, Status s,
     return;
   }
   cur_round_ = probe.round;
+  if (gen_waiting_ && probe.range && probe.node.depth == gen_depth_ &&
+      probe.node.first == gen_wait_first_) {
+    // The lone prefix after a jump replied. A leaf or an internal node
+    // refills the window; an empty one opens a search that holds it.
+    gen_waiting_ = false;
+  }
   NodeClass cls = Classify(items);
   switch (cls) {
     case NodeClass::kInternal:
@@ -229,7 +252,7 @@ void PhtCursor::OnRange(const Node& node, NodeClass cls) {
 }
 
 bool PhtCursor::NextGenerated(Node* out) {
-  while (gen_depth_ >= 0 && !gen_done_) {
+  while (gen_depth_ >= 0 && !gen_done_ && !gen_waiting_) {
     Node node{gen_next_, gen_depth_};
     // An open search's leaf lies under prefix(first, lo_depth) and may
     // cover this prefix too: hold the generator until it settles rather
@@ -244,10 +267,19 @@ bool PhtCursor::NextGenerated(Node* out) {
     // depth-d prefixes: jump past its range instead of stepping through.
     auto it = covered_.upper_bound(node.first);
     bool covered = it != covered_.begin() && std::prev(it)->second >= last;
-    if (covered) last = std::prev(it)->second;
+    if (covered) {
+      // A range wider than one depth-d prefix is a shallower leaf.
+      if (std::prev(it)->second > last) gen_solo_ = true;
+      last = std::prev(it)->second;
+    }
     gen_done_ = last >= hi_;
     gen_next_ = last + 1;
     if (!covered) {
+      if (gen_solo_) {
+        gen_solo_ = false;
+        gen_waiting_ = true;
+        gen_wait_first_ = node.first;
+      }
       *out = node;
       return true;
     }

@@ -5,7 +5,16 @@
 //   1. locates the leaf covering `lo` by the PHT "doubly binary" search — a
 //      binary search over prefix DEPTH, where each probe is one DHT get at
 //      prefix(key, depth) and classifies the trie node from the items that
-//      come back (internal marker / leaf marker or entries / nothing);
+//      come back (internal marker / leaf marker or entries / nothing).
+//      A caller that knows a likely leaf depth (PhtIndex::LeafDepthNear:
+//      the depth of a leaf this node holds near `lo`) passes it as
+//      `start_depth`, and the search probes that depth first. A leaf there
+//      ends the locate in one round trip. Otherwise the search runs its
+//      usual midpoints over [0, 64], and the seed's class answers every
+//      midpoint it implies without a get: internal at d means internal at
+//      every depth <= d on the path, empty at d means empty at every depth
+//      >= d. So a wrong seed costs at most one probe and one round more
+//      than the unseeded search, and no seed is exactly the unseeded one;
 //   2. reads the rest of the range as one pipelined window: every next
 //      prefix at that first leaf's depth d, up to the one holding `hi`, is
 //      generated lazily and fetched with at most kWindow gets in flight.
@@ -16,11 +25,15 @@
 //        empty     the prefix lies under a shallower leaf, found by a
 //                  binary search over depth bounded above by the empty
 //                  prefix's depth; prefixes a found leaf covers are never
-//                  fetched.
+//                  fetched. Once the generator jumps past such a leaf, the
+//                  next depth-d prefix goes out alone, and the window
+//                  refills only after its reply: past one shallow leaf the
+//                  next depth-d prefixes are likely empty too.
 //
 // Sibling leaves cluster at similar depths, so a range of L leaves costs
-// the O(log kKeyBits) locate plus about L gets, but only one or two more
-// round trips on the critical path instead of one per leaf.
+// the O(log kKeyBits) locate (one get with a right seed) plus about L gets,
+// but only one or two more round trips on the critical path instead of one
+// per leaf.
 //
 // The cursor is deliberately transport-agnostic: it speaks through a GetFn
 // so the query runtime can interpose its query-lifetime re-entry guard
@@ -86,7 +99,9 @@ class PhtCursor {
   using DoneFn = std::function<void(Outcome, Status)>;
 
   /// Closed encoded range; `lo` > `hi` completes immediately with kOk.
-  PhtCursor(GetFn get, uint64_t lo, uint64_t hi);
+  /// `start_depth` in [0, kKeyBits] seeds the locate's first probe; any
+  /// other value (-1: no seed) leaves the search unseeded.
+  PhtCursor(GetFn get, uint64_t lo, uint64_t hi, int start_depth = -1);
 
   /// Starts the walk. Callbacks fire from GetFn continuations; the cursor
   /// must stay alive until DoneFn runs (drop the continuations to abort).
@@ -109,6 +124,12 @@ class PhtCursor {
     uint64_t last = 0;
     int lo_depth = 0;
     int hi_depth = kKeyBits;
+    /// Depth probed before any midpoint (-1: none or already probed).
+    int seed_depth = -1;
+    /// What the seed's class implies for the path: every depth up to
+    /// internal_to is internal, every depth from empty_from on is empty.
+    int internal_to = -1;
+    int empty_from = kKeyBits + 1;
     bool open = true;  ///< not yet settled by a found leaf or a failure
   };
   /// One get in flight. A range prefix (generated or a child) resolves by
@@ -159,6 +180,11 @@ class PhtCursor {
   int gen_depth_ = -1;
   uint64_t gen_next_ = 0;
   bool gen_done_ = false;
+  /// Set by a jump past a leaf shallower than gen_depth_: the next prefix
+  /// goes out alone (gen_waiting_) and the generator holds until it replies.
+  bool gen_solo_ = false;
+  bool gen_waiting_ = false;
+  uint64_t gen_wait_first_ = 0;
 
   /// Classified prefixes: internal nodes stay internal and empty prefixes
   /// stay empty for a walk, so searches share them without the network.

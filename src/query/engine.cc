@@ -492,6 +492,12 @@ void QueryEngine::PostToStage(uint64_t qid, uint32_t node_id,
   if (stage != nullptr) fn(stage);
 }
 
+const index::PhtIndex* QueryEngine::FindIndex(const std::string& table,
+                                              int col) const {
+  return index_manager_ != nullptr ? index_manager_->Find(table, col)
+                                   : nullptr;
+}
+
 void QueryEngine::OnIndexScanDone(uint64_t qid, bool ok) {
   auto it = queries_.find(qid);
   if (it == queries_.end() || it->second->ended || !it->second->is_origin) {

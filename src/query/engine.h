@@ -145,6 +145,8 @@ class QueryEngine : public ops::StageHost {
   void PostToStage(uint64_t qid, uint32_t node_id,
                    const std::function<void(ops::Stage*)>& fn) override;
   void OnIndexScanDone(uint64_t qid, bool ok) override;
+  const index::PhtIndex* FindIndex(const std::string& table,
+                                   int col) const override;
   void SubmitScan(ScanWork work) override;
   void OnEpochScansDone(uint64_t qid, uint64_t epoch) override;
   bool ChargeRehashPuts(uint64_t qid, uint64_t n) override;

@@ -76,8 +76,12 @@ void IndexScanStage::RunEpoch(const BatchEmitFn& emit) {
     host_->OnIndexScanDone(qid_, /*ok=*/false);
     return;
   }
-  cursor_ = std::make_unique<index::PhtCursor>(MakeGetFn(run_token_),
-                                               lo_key_, hi_key_);
+  // Seed the locate with the depth of a leaf this node holds near lo.
+  const index::PhtIndex* pht = host_->FindIndex(node_->table,
+                                                node_->index_col);
+  int start_depth = pht != nullptr ? pht->LeafDepthNear(lo_key_) : -1;
+  cursor_ = std::make_unique<index::PhtCursor>(
+      MakeGetFn(run_token_), lo_key_, hi_key_, start_depth);
   cursor_->Run(MakeRowFn(emit),
                [this](index::PhtCursor::Outcome outcome, Status /*s*/) {
                  OnCursorDone(outcome);

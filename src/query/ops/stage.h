@@ -15,6 +15,7 @@
 #define PIER_QUERY_OPS_STAGE_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "catalog/tuple.h"
@@ -27,6 +28,9 @@
 #include "sim/event_queue.h"
 
 namespace pier {
+namespace index {
+class PhtIndex;
+}  // namespace index
 namespace query {
 namespace ops {
 
@@ -103,6 +107,10 @@ class StageHost {
   /// scans and re-disseminates — the answer degrades toward the scan
   /// baseline, it never errors.
   virtual void OnIndexScanDone(uint64_t qid, bool ok) = 0;
+  /// This node's handle on the PHT over (table, col), nullptr when absent.
+  /// The index scan reads the leaf depths it holds to seed its locate.
+  virtual const index::PhtIndex* FindIndex(const std::string& table,
+                                           int col) const = 0;
 
   /// Hands one epochal scan pass to the node's QueryScheduler (round-robin
   /// quanta + shared-sweep batching). The engine injects its abort probe

@@ -126,6 +126,11 @@ TEST(KeyCodecTest, PrefixAndSuccessorArithmetic) {
   EXPECT_EQ(next & ((1ull << 60) - 1), 0ull);  // zero-padded below
   EXPECT_FALSE(NextKeyAfterPrefix("1111", &next));
   EXPECT_FALSE(NextKeyAfterPrefix("", &next));
+  // PrefixFirstKey inverts Prefix: a full-depth prefix is the key itself.
+  EXPECT_EQ(PrefixFirstKey(Prefix(0x0123456789ABCDEFull, 64)),
+            0x0123456789ABCDEFull);
+  EXPECT_EQ(PrefixFirstKey("1001"), 0x9ull << 60);
+  EXPECT_EQ(PrefixFirstKey(""), 0ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,6 +295,59 @@ TEST(PhtTrieTest, AdjacentKeyCascadeLosesNothing) {
   ASSERT_TRUE(CursorCollect(d.net.get(), ns, 0,
                             std::numeric_limits<uint64_t>::max(), &rows));
   EXPECT_EQ(FirstCols(rows), published);
+}
+
+TEST(PhtTrieTest, LeafDepthNearNamesTheLeavesANodeStores) {
+  // The cascade trie: leaves from depth ~58 down. Each node's locate seed
+  // comes from the leaf markers it stores, as owner or as replica: a key
+  // inside a live leaf among them reads back that leaf's depth, and a node
+  // storing no leaf marker has no seed. (A replica can keep a leaf marker
+  // for a prefix that has since split; the seed then names the deeper
+  // live leaf on the same path, which is what the cursor wants.)
+  Deployment d(4, 626262);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(d.net->node(i % d.net->size())
+                    ->query_engine()
+                    ->Publish("points",
+                              Tuple{Value::Int64(i), Value::Int64(i)})
+                    .ok());
+  }
+  d.net->RunFor(Seconds(40));
+  const std::string ns = PhtIndex::NamespaceFor("points", 0);
+  // Per node, the prefixes it holds a leaf marker for; trie-wide, the
+  // prefixes an owner marks internal.
+  std::vector<std::vector<std::string>> leaves(d.net->size());
+  std::set<std::string> internal;
+  for (size_t i = 0; i < d.net->size(); ++i) {
+    d.net->node(i)->dht()->ForEachLocal(ns, [&](const dht::StoredItem& item) {
+      if (item.key.instance != kMarkerInstance) return true;
+      Reader r(item.value);
+      PhtNodeRecord rec;
+      if (!PhtNodeRecord::Deserialize(&r, &rec).ok()) return true;
+      if (!rec.internal) {
+        leaves[i].push_back(item.key.resource);
+      } else if (!item.replica) {
+        internal.insert(item.key.resource);
+      }
+      return true;
+    });
+  }
+  size_t live_seen = 0;
+  for (size_t i = 0; i < d.net->size(); ++i) {
+    const PhtIndex* idx = d.net->node(i)->index_manager()->Find("points", 0);
+    ASSERT_NE(idx, nullptr);
+    if (leaves[i].empty()) {
+      EXPECT_EQ(idx->LeafDepthNear(0), -1);
+    }
+    for (const std::string& leaf : leaves[i]) {
+      if (internal.count(leaf) > 0) continue;
+      EXPECT_EQ(idx->LeafDepthNear(PrefixFirstKey(leaf)),
+                static_cast<int>(leaf.size()))
+          << "node " << i << " leaf " << leaf;
+      ++live_seen;
+    }
+  }
+  EXPECT_GT(live_seen, 5u);
 }
 
 TEST(PhtTrieTest, DuplicateKeysOverflowMaxDepthBucketSafely) {
@@ -501,9 +559,10 @@ struct Walk {
   uint64_t rounds = 0;  ///< rounds the fake trie answered
 };
 
-Walk WalkRange(FakeTrie* trie, uint64_t lo, uint64_t hi) {
+Walk WalkRange(FakeTrie* trie, uint64_t lo, uint64_t hi,
+               int start_depth = -1) {
   Walk w;
-  PhtCursor cursor(trie->GetFn(), lo, hi);
+  PhtCursor cursor(trie->GetFn(), lo, hi, start_depth);
   cursor.Run(
       [&](const PhtEntry& entry) {
         w.keys.insert(entry.key);
@@ -567,31 +626,125 @@ TEST(PhtCursorTest, UniformTrieReadsTheRangeInOneWindow) {
   EXPECT_LE(all.stats.rounds, one.stats.rounds + (127 + 15) / 16);
 }
 
-TEST(PhtCursorTest, SkewedTrieFindsShallowLeavesByBinarySearch) {
-  // A dense run of 64 adjacent keys at the top of the "0" half splits down
-  // to depth 61; the "1" half holds three sparse keys in one depth-1 leaf.
-  // A range from the dense run's last leaf to the top of the keyspace
-  // meets leaves at depths 61, 58, 57 and 1.
+/// A dense run of 64 adjacent keys at the top of the "0" half splits down
+/// to depth 61; the "1" half holds three sparse keys in one depth-1 leaf.
+constexpr uint64_t kDense = 0x7FFFFFFFFFFFFF00ull;
+
+std::vector<uint64_t> SkewedKeys() {
   std::vector<uint64_t> keys;
-  const uint64_t dense = 0x7FFFFFFFFFFFFF00ull;
-  for (uint64_t i = 0; i < 64; ++i) keys.push_back(dense + i);
+  for (uint64_t i = 0; i < 64; ++i) keys.push_back(kDense + i);
   for (uint64_t k : {0x8000000000000005ull, 0xA000000000000000ull,
                      0xFFFFFFFFFFFFFFF0ull}) {
     keys.push_back(k);
   }
+  return keys;
+}
+
+TEST(PhtCursorTest, SkewedTrieFindsShallowLeavesByBinarySearch) {
+  // A range from the dense run's last leaf to the top of the keyspace
+  // meets leaves at depths 61, 58, 57 and 1.
   FakeTrie trie;
-  trie.Build(keys, 8);
-  const uint64_t lo = dense + 0x30;
+  trie.Build(SkewedKeys(), 8);
+  const uint64_t lo = kDense + 0x30;
   const uint64_t hi = std::numeric_limits<uint64_t>::max();
   Walk w = WalkRange(&trie, lo, hi);
   EXPECT_EQ(w.outcome, PhtCursor::Outcome::kOk);
   EXPECT_EQ(w.keys, trie.Expect(lo, hi));
   EXPECT_EQ(w.keys.size(), 19u);
   // Climbing one level per round from depth 61 to the depth-1 leaf would
-  // take 60 rounds; the depth searches take a handful each.
+  // take 60 rounds; the depth searches take a handful each. Past each
+  // shallow leaf the next depth-61 prefix goes out alone rather than as a
+  // window of likely-empty prefixes (54 probes when it did not).
   EXPECT_LE(w.stats.rounds, 14u);
-  EXPECT_LE(w.stats.probes, 56u);
+  EXPECT_LE(w.stats.probes, 39u);
   EXPECT_EQ(w.stats.leaves, 5u);
+}
+
+/// Walks [lo, hi] cold and seeded with each of `seeds`: every seeded walk
+/// returns the exact answer and costs at most one probe and one round more
+/// than the cold one. Returns the cold walk.
+Walk ExpectSeedsCostAtMostOneMore(FakeTrie* trie, uint64_t lo, uint64_t hi,
+                                  std::initializer_list<int> seeds) {
+  Walk cold = WalkRange(trie, lo, hi);
+  EXPECT_EQ(cold.outcome, PhtCursor::Outcome::kOk);
+  EXPECT_EQ(cold.keys, trie->Expect(lo, hi));
+  for (int seed : seeds) {
+    SCOPED_TRACE("start depth " + std::to_string(seed));
+    Walk w = WalkRange(trie, lo, hi, seed);
+    EXPECT_EQ(w.outcome, PhtCursor::Outcome::kOk);
+    EXPECT_EQ(w.keys, trie->Expect(lo, hi));
+    EXPECT_EQ(w.stats.leaves, cold.stats.leaves);
+    EXPECT_LE(w.stats.probes, cold.stats.probes + 1);
+    EXPECT_LE(w.stats.rounds, cold.stats.rounds + 1);
+  }
+  return cold;
+}
+
+TEST(PhtCursorTest, RightStartDepthReadsTheLeafInRoundOne) {
+  FakeTrie trie;
+  trie.Build(UniformKeys(), 8);
+  // Inside one depth-7 leaf: the seeded probe is the whole walk.
+  Walk one = WalkRange(&trie, UniformKey(161), UniformKey(166), 7);
+  EXPECT_EQ(one.keys, trie.Expect(UniformKey(161), UniformKey(166)));
+  EXPECT_EQ(one.stats.probes, 1u);
+  EXPECT_EQ(one.stats.rounds, 1u);
+  EXPECT_EQ(one.stats.leaves, 1u);
+  // Twelve leaves: the leaf in round 1, the other eleven in round 2,
+  // against 3 + 1 rounds and 3 + 11 probes cold.
+  Walk cold = ExpectSeedsCostAtMostOneMore(&trie, UniformKey(163),
+                                           UniformKey(250), {7});
+  Walk w = WalkRange(&trie, UniformKey(163), UniformKey(250), 7);
+  EXPECT_EQ(w.stats.rounds, 2u);
+  EXPECT_EQ(w.stats.probes, 12u);
+  EXPECT_EQ(cold.stats.rounds, 4u);
+  EXPECT_EQ(cold.stats.probes, 14u);
+}
+
+TEST(PhtCursorTest, WrongStartDepthCostsAtMostOneMoreProbeAndRound) {
+  FakeTrie trie;
+  trie.Build(UniformKeys(), 8);
+  // One level too shallow (internal) and too deep (empty), the shallowest
+  // and deepest real depths, and out-of-range values, which mean no seed.
+  ExpectSeedsCostAtMostOneMore(&trie, UniformKey(161), UniformKey(166),
+                               {6, 8, 1, 64, 0, -5, 65});
+  ExpectSeedsCostAtMostOneMore(&trie, UniformKey(163), UniformKey(250),
+                               {6, 8, 1, 64});
+  // Too deep: empty at 8 answers the cold midpoints 32 and 15, so the
+  // locate is 8 then 7.
+  Walk deep = WalkRange(&trie, UniformKey(161), UniformKey(166), 8);
+  EXPECT_EQ(deep.stats.probes, 2u);
+  EXPECT_EQ(deep.stats.rounds, 2u);
+}
+
+TEST(PhtCursorTest, StartDepthOnTheSkewedTrie) {
+  FakeTrie trie;
+  trie.Build(SkewedKeys(), 8);
+  const uint64_t top = std::numeric_limits<uint64_t>::max();
+  // From the dense run's last leaf (depth 61) across the shallow leaves:
+  // right, one off either way, and the depths of the other leaves.
+  ExpectSeedsCostAtMostOneMore(&trie, kDense + 0x30, top,
+                               {61, 60, 62, 58, 57, 1, 64});
+  // From inside the depth-1 leaf: the seed 1 is right there.
+  ExpectSeedsCostAtMostOneMore(&trie, 0x9000000000000000ull, top,
+                               {1, 2, 61, 64});
+  Walk w = WalkRange(&trie, 0x9000000000000000ull, top, 1);
+  EXPECT_EQ(w.stats.probes, 1u);
+  EXPECT_EQ(w.stats.rounds, 1u);
+}
+
+TEST(PhtCursorTest, StartDepthReachesAMaxDepthBucket) {
+  // Twelve copies of one key overflow the bucket down to depth 64, where
+  // a leaf never splits.
+  std::vector<uint64_t> keys(12, 0x0123456789ABCDEFull);
+  keys.push_back(0x8000000000000000ull);
+  FakeTrie trie;
+  trie.Build(keys, 8);
+  const uint64_t k = 0x0123456789ABCDEFull;
+  Walk cold = ExpectSeedsCostAtMostOneMore(&trie, k, k, {64, 63, 1});
+  EXPECT_EQ(cold.keys.size(), 12u);
+  Walk w = WalkRange(&trie, k, k, 64);
+  EXPECT_EQ(w.stats.probes, 1u);
+  EXPECT_EQ(w.stats.rounds, 1u);
 }
 
 TEST(PhtCursorTest, ResidualEntriesAtInternalNodesAreReadOnce) {
